@@ -3,8 +3,6 @@
 Run:  python demos/closed_formulas.py
 """
 
-from fractions import Fraction
-
 from wallcross import (
     binomial_identity_check,
     dt_kronecker_numeric,
@@ -13,6 +11,7 @@ from wallcross import (
     load_p2_table,
     log_local_factor,
 )
+from wallcross.combinat import divisor_sum, minus_one_pow
 
 # ---------------------------------------------------------------------------
 # The degree-d counts on the weight-r pair come from a single binomial
@@ -36,15 +35,14 @@ for d, nodal, smooth in load_p2_table():
 # Chain one: Moebius inversion of the Kronecker-quiver DT formula lands on
 # the same numbers.  The quiver has m = r + 2 arrows and dimension (d, d).
 
-print("\nMoebius chain at r = 2 (5 = (-1)^(4*1-1) * Omega alone at d = 1):")
+print("\nMoebius chain at r = 2 (4 = (-1)^(4*1-1) * Omega alone at d = 1):")
+m = 4
+totals = divisor_sum([dt_kronecker_numeric(m, d) for d in range(1, 5)],
+                     lambda l, omega: omega / (l * l))
 for d in range(1, 5):
-    m = 4
-    total = Fraction(0)
-    for l in range(1, d + 1):
-        if d % l == 0:
-            total += Fraction(1, l * l) * dt_kronecker_numeric(m, d // l)
-    sign = 1 if (m * d - 1) % 2 == 0 else -1
-    print(f"  d = {d}:  {gw_selfnodal(2, d)} == {sign} * {sign * sign * total}"
+    sign = minus_one_pow(m * d - 1)
+    total = totals[d - 1]
+    print(f"  d = {d}:  {gw_selfnodal(2, d)} == {sign} * {total}"
           f"  -> {gw_selfnodal(2, d) == sign * total}")
 
 # ---------------------------------------------------------------------------

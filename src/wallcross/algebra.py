@@ -12,6 +12,12 @@ layers build on each other:
   a degree cutoff, with ``RationalFunc`` coefficients; generating functions
   and the plethystic calculus operate on these.
 
+Series logarithms and exponentials have a single core, :func:`log_coeffs`
+and :func:`exp_coeffs`: O(n^2) triangular recurrences on plain lists of
+``Fraction`` or ``RationalFunc`` coefficients.  ``series_log`` and
+``series_exp`` apply them to a ``GradedSeries``; the scattering and refined
+extractions apply them to wall and factor coefficients directly.
+
 All values are immutable after construction and all operations are pure, so
 instances can be shared freely across threads.
 """
@@ -19,7 +25,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import BadConstantTerm, CutoffMismatch, ZeroDenominator
 
@@ -269,6 +275,9 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self):
+        # a constant equals its scalar, so it must hash like it
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, _F0))
         return hash(tuple(sorted(self._c.items())))
 
     def __bool__(self) -> bool:
@@ -496,6 +505,9 @@ class RationalFunc:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
+        # a quotient with denominator 1 equals its numerator, so it must hash like it
+        if self.is_laurent:
+            return hash(self._num)
         return hash((self._num, self._den))
 
     def __bool__(self) -> bool:
@@ -718,28 +730,51 @@ def _as_series(x, cutoff: int) -> GradedSeries:
     return NotImplemented
 
 
+def log_coeffs(f: Sequence, zero) -> list:
+    """Coefficients of log f for a series f with f[0] = 1; index 0 holds ``zero``.
+
+    Solves (log f)' f = f' triangularly: M_n = n L_n satisfies
+    M_n = n f_n - sum_{0<i<n} M_i f_{n-i}.  That is O(n^2) ring operations
+    on Fraction or RationalFunc coefficients.
+    """
+    m = [zero] * len(f)
+    for n in range(1, len(f)):
+        acc = f[n] * n
+        for i in range(1, n):
+            if m[i] and f[n - i]:
+                acc = acc - m[i] * f[n - i]
+        m[n] = acc
+    return [zero] + [m[n] / n for n in range(1, len(f))]
+
+
+def exp_coeffs(a: Sequence, one) -> list:
+    """Coefficients of exp a for a series a with a[0] = 0; index 0 holds ``one``.
+
+    Solves E' = a' E triangularly, n E_n = sum_{0<k<=n} k a_k E_{n-k}.  That
+    is O(n^2) ring operations on Fraction or RationalFunc coefficients.
+    """
+    ka = [c * k for k, c in enumerate(a)]
+    exp = [one]
+    for n in range(1, len(a)):
+        acc = one - one
+        for k in range(1, n + 1):
+            if ka[k] and exp[n - k]:
+                acc = acc + ka[k] * exp[n - k]
+        exp.append(acc / n)
+    return exp
+
+
 def series_exp(s: GradedSeries) -> GradedSeries:
     """exp of a series with zero constant term, exact modulo z^(cutoff+1)."""
     if s.coeff(0):
         raise BadConstantTerm("series_exp needs constant term 0")
-    n = s.cutoff
-    acc = GradedSeries.one(n, s.strict)
-    term = GradedSeries.one(n, s.strict)
-    for i in range(1, n + 1):
-        term = term * s / i
-        acc = acc + term
-    return acc
+    coeffs = exp_coeffs([s.coeff(d) for d in range(s.cutoff + 1)], RationalFunc.one())
+    return GradedSeries(s.cutoff, dict(enumerate(coeffs)), s.strict)
 
 
 def series_log(s: GradedSeries) -> GradedSeries:
     """log of a series with constant term 1, exact modulo z^(cutoff+1)."""
     if s.coeff(0) != RationalFunc.one():
         raise BadConstantTerm("series_log needs constant term 1")
-    n = s.cutoff
-    u = s - 1
-    acc = GradedSeries.zero(n, s.strict)
-    upow = GradedSeries.one(n, s.strict)
-    for i in range(1, n + 1):
-        upow = upow * u
-        acc = acc + upow * Fraction(-1 if i % 2 == 0 else 1, i)
-    return acc
+    coeffs = log_coeffs([s.coeff(d) for d in range(s.cutoff + 1)], RationalFunc.zero())
+    return GradedSeries(s.cutoff, dict(enumerate(coeffs)), s.strict)

@@ -19,14 +19,13 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import invariants, qtorus, scattering
 from .algebra import LaurentPoly
-from .combinat import quantum_integer
-from .errors import DomainError, FixturesMissing, WallcrossError
+from .combinat import divisor_sum, minus_one_pow, quantum_integer
+from .errors import DomainError, WallcrossError
 
 SUITES = ("table", "chain", "partition", "scatter", "refined", "all")
 
@@ -87,36 +86,6 @@ def emit_rows(rows: list[dict], columns: list[str], out: str, stream) -> None:
 # Configuration
 
 
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    out: str = "human"
-    jobs: int = 1
-    strict_truncation: bool = False
-    fixtures: str | None = None
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        cfg = RunConfig(
-            out=getattr(args, "out", "human"),
-            jobs=getattr(args, "jobs", 1),
-            strict_truncation=getattr(args, "strict_truncation", False),
-            fixtures=getattr(args, "fixtures", None),
-        )
-        if cfg.jobs < 1:
-            raise WallcrossError(f"--jobs must be >= 1, got {cfg.jobs}")
-        return cfg
-
-
-def _grid_map(fn, items, jobs: int) -> list:
-    """Deterministic ordered map over grid cells, optionally thread-parallel."""
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _degree_list(args, default_max: int) -> list[int]:
     d = getattr(args, "d", None)
     if d is not None:
@@ -134,7 +103,6 @@ def _degree_list(args, default_max: int) -> list[int]:
 
 
 def cmd_gw(args) -> int:
-    cfg = RunConfig.from_args(args)
     degrees = _degree_list(args, 6)
     r = args.r
 
@@ -149,13 +117,12 @@ def cmd_gw(args) -> int:
             row["gw_local"] = msg
         return row
 
-    rows = _grid_map(cell, degrees, cfg.jobs)
-    emit_rows(rows, ["r", "d", "gw_nodal", "gw_local"], cfg.out, sys.stdout)
+    rows = [cell(d) for d in degrees]
+    emit_rows(rows, ["r", "d", "gw_nodal", "gw_local"], args.out, sys.stdout)
     return 0
 
 
 def cmd_dt(args) -> int:
-    cfg = RunConfig.from_args(args)
     degrees = _degree_list(args, 4)
     m = args.m
     if m < 1:
@@ -163,7 +130,7 @@ def cmd_dt(args) -> int:
 
     if args.refined:
         dmax = max(degrees)
-        if cfg.out == "json":
+        if args.out == "json":
             report = qtorus.refined_report(m, dmax)
             wanted = set(degrees)
             report = [entry for entry in report if entry["dimension_vector"][0] in wanted]
@@ -182,7 +149,7 @@ def cmd_dt(args) -> int:
                 "quotient": laurent_human(quotient) if ok else "not divisible",
             })
         emit_rows(rows, ["m", "d", "omega_refined", "omega_at_1", "quotient"],
-                  cfg.out, sys.stdout)
+                  args.out, sys.stdout)
         return 0
 
     def cell(d: int) -> dict:
@@ -193,18 +160,17 @@ def cmd_dt(args) -> int:
             row["omega_numeric"] = f"DomainError: {err} (see: wallcross scatter or --refined)"
         return row
 
-    rows = _grid_map(cell, degrees, cfg.jobs)
-    emit_rows(rows, ["m", "d", "omega_numeric"], cfg.out, sys.stdout)
+    rows = [cell(d) for d in degrees]
+    emit_rows(rows, ["m", "d", "omega_numeric"], args.out, sys.stdout)
     return 0
 
 
 def cmd_scatter(args) -> int:
-    cfg = RunConfig.from_args(args)
     diagram = scattering.complete_to_consistency(
         scattering.initial_diagram(args.m), args.order)
     if args.extract_omega is not None:
         value = scattering.central_ray_omega(diagram, args.extract_omega)
-        if cfg.out == "json":
+        if args.out == "json":
             sys.stdout.write(json.dumps({
                 "pairing": args.m,
                 "order": args.order,
@@ -214,7 +180,7 @@ def cmd_scatter(args) -> int:
         else:
             sys.stdout.write(f"{value}\n")
         return 0
-    if cfg.out == "human":
+    if args.out == "human":
         sys.stdout.write(f"pairing {diagram.pairing}, consistent to order {diagram.order}\n")
         for ray in diagram.rays:
             kind = "incoming line" if ray.incoming else "outgoing ray"
@@ -228,7 +194,6 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_gv(args) -> int:
-    cfg = RunConfig.from_args(args)
     degrees = _degree_list(args, 10)
     dmax = max(degrees)
     r = args.r
@@ -236,7 +201,7 @@ def cmd_gv(args) -> int:
     gv = invariants.gv_from_gw_genus0(tower)
     rows = [{"r": str(r), "d": str(d), "gw_local": str(tower[d - 1]), "n0": str(gv[d - 1])}
             for d in degrees]
-    emit_rows(rows, ["r", "d", "gw_local", "n0"], cfg.out, sys.stdout)
+    emit_rows(rows, ["r", "d", "gw_local", "n0"], args.out, sys.stdout)
     return 0
 
 
@@ -285,18 +250,17 @@ def _suite_chain(d_max: int = 10) -> list[Check]:
     checks = []
     for r in range(1, 5):
         m = r + 2
+        totals = divisor_sum(
+            [invariants.dt_kronecker_numeric(m, d) for d in range(1, d_max + 1)],
+            lambda l, omega: omega / (l * l))
         for d in range(1, d_max + 1):
-            total = Fraction(0)
-            for l in range(1, d + 1):
-                if d % l == 0:
-                    total += Fraction(1, l * l) * invariants.dt_kronecker_numeric(m, d // l)
-            sign = 1 if (m * d - 1) % 2 == 0 else -1
+            rhs = minus_one_pow(m * d - 1) * totals[d - 1]
             lhs = invariants.gw_selfnodal(r, d)
             checks.append(Check(
                 id=f"chain/moebius r={r} d={d}",
-                passed=lhs == sign * total,
+                passed=lhs == rhs,
                 lhs=str(lhs),
-                rhs=str(sign * total),
+                rhs=str(rhs),
                 anchor="Moebius-inversion chain to quiver DT",
             ))
             rhs = invariants.log_local_factor(d * m) * invariants.gw_local_p1(r, d)
@@ -370,7 +334,7 @@ def _suite_refined(ms: list[int], d_max: int = 2) -> list[Check]:
     checks = []
     for m in (1, 2, 3, 4):
         records = qtorus.ks_factorize(m, 1)
-        expected = quantum_integer(m) * (1 if m % 2 == 1 else -1)
+        expected = quantum_integer(m) * minus_one_pow(m - 1)
         checks.append(Check(
             id=f"refined/poincare m={m}",
             passed=records[0].omega == expected,
@@ -414,7 +378,6 @@ def _suite_refined(ms: list[int], d_max: int = 2) -> list[Check]:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
     suite = args.suite
     ms = [args.m] if args.m is not None else [3, 4]
     d_max = getattr(args, "d_max", None)
@@ -426,7 +389,7 @@ def cmd_verify(args) -> int:
 
     checks: list[Check] = []
     if suite in ("table", "all"):
-        checks.extend(_suite_table(cfg.fixtures))
+        checks.extend(_suite_table(args.fixtures))
     if suite in ("chain", "all"):
         checks.extend(_suite_chain(ranged("chain", 10)))
     if suite in ("partition", "all"):
@@ -438,7 +401,7 @@ def cmd_verify(args) -> int:
     report = VerifyReport(suite=suite, checks=checks,
                           duration=time.monotonic() - started)
 
-    if cfg.out == "json":
+    if args.out == "json":
         payload = {
             "suite": report.suite,
             "total": len(report.checks),
@@ -469,10 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", choices=("human", "json", "csv"), default="human",
                        help="output format (default: human)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallelism across grid cells (deterministic output)")
-        p.add_argument("--strict-truncation", action="store_true",
-                       help="treat series cutoff mismatches as errors in series-level ops")
 
     p_gw = sub.add_parser("gw", help="closed-form maximal-tangency and local P1 counts")
     p_gw.add_argument("--r", type=int, required=True, help="weight r >= 1 of the pair")
@@ -526,9 +485,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FixturesMissing as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except WallcrossError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """Integer combinatorics and the plethystic calculus.
 
-Partitions, the Moebius function, binomials, quantum integers, and the
-plethystic Exp/Log pair acting on truncated graded series.
+Partitions, the Moebius function, binomials, the sign (-1)^n, divisor sums
+and their inversion, quantum integers, and the plethystic Exp/Log pair
+acting on truncated graded series.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .algebra import GradedSeries, LaurentPoly, series_exp, series_log
 from .errors import BadConstantTerm, NonPositive
@@ -55,6 +56,40 @@ def divisors(n: int) -> list[int]:
                 large.append(n // i)
         i += 1
     return small + large[::-1]
+
+
+def minus_one_pow(n: int) -> int:
+    """The sign (-1)^n for any integer n."""
+    return -1 if n % 2 else 1
+
+
+def divisor_sum(values: Sequence, term: Callable) -> list:
+    """S_d = sum over l | d of term(l, values[d/l - 1]), for d = 1..len(values).
+
+    ``term(1, x)`` must equal x; the l = 1 term is taken as values[d - 1]
+    itself, so no zero of the coefficient ring is needed.
+    """
+    sums = []
+    for d in range(1, len(values) + 1):
+        acc = values[d - 1]
+        for l in divisors(d)[1:]:
+            acc = acc + term(l, values[d // l - 1])
+        sums.append(acc)
+    return sums
+
+
+def divisor_inversion(sums: Sequence, term: Callable) -> list:
+    """Triangular inverse of :func:`divisor_sum` with the same ``term``.
+
+    v_d = S_d - sum over l | d, l > 1, of term(l, v_(d/l)).
+    """
+    values: list = []
+    for d in range(1, len(sums) + 1):
+        acc = sums[d - 1]
+        for l in divisors(d)[1:]:
+            acc = acc - term(l, values[d // l - 1])
+        values.append(acc)
+    return values
 
 
 @dataclass(frozen=True)
@@ -111,7 +146,7 @@ def partition_count(d: int) -> int:
             g2 = k * (3 * k + 1) // 2
             if g1 > n and g2 > n:
                 break
-            sign = 1 if k % 2 else -1
+            sign = minus_one_pow(k - 1)
             if g1 <= n:
                 total += sign * p[n - g1]
             if g2 <= n:

@@ -18,7 +18,7 @@ from math import factorial
 from typing import Mapping, Sequence
 
 from .algebra import LaurentPoly, RationalFunc
-from .combinat import binomial, divisors, moebius
+from .combinat import binomial, divisor_inversion, divisor_sum, divisors, minus_one_pow, moebius
 from .errors import DomainError, FixturesMissing, IndexGap
 
 FIXTURES_ENV = "WALLCROSS_FIXTURES"
@@ -48,24 +48,6 @@ class PairParams:
         return self.d * (self.r + 2)
 
 
-@dataclass(frozen=True)
-class BpsRecord:
-    """One degree's worth of BPS data: multi-cover package, refined invariant, GV list."""
-
-    degree: int
-    omega_bar: RationalFunc
-    omega: LaurentPoly
-    gv: tuple[int, ...]
-
-    def validate(self) -> None:
-        if not self.omega.is_palindromic():
-            raise ValueError(f"omega at degree {self.degree} is not palindromic")
-        for k, c in self.omega.items():
-            if c.denominator != 1:
-                raise ValueError(
-                    f"omega at degree {self.degree} has non-integer coefficient at t^{k}")
-
-
 # ---------------------------------------------------------------------------
 # Closed formulas
 
@@ -86,8 +68,7 @@ def gw_local_p1(r: int, d: int) -> Fraction:
     gw_selfnodal(r, d) = (-1)^(d(r+2)+1) d(r+2) gw_local_p1(r, d).
     """
     PairParams(r, d)
-    sign = 1 if (r * d) % 2 == 1 else -1
-    return Fraction(sign * binomial((r + 1) ** 2 * d - 1, d - 1), d**3)
+    return Fraction(minus_one_pow(r * d - 1) * binomial((r + 1) ** 2 * d - 1, d - 1), d**3)
 
 
 def dt_kronecker_numeric(m: int, d: int) -> Fraction:
@@ -104,10 +85,8 @@ def dt_kronecker_numeric(m: int, d: int) -> Fraction:
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d}")
     r = m - 2
-    total = 0
-    for l in divisors(d):
-        sign = -1 if (m * l) % 2 == 0 else 1
-        total += moebius(d // l) * sign * binomial((m - 1) ** 2 * l - 1, l)
+    total = sum(moebius(d // l) * minus_one_pow(m * l + 1) * binomial((m - 1) ** 2 * l - 1, l)
+                for l in divisors(d))
     return Fraction(total, r * d * d)
 
 
@@ -126,15 +105,14 @@ def log_local_factor(d_beta: int) -> int:
     """Sign/multiplicity factor (-1)^(D.beta + 1) * D.beta for exceptional-divisor pairs."""
     if d_beta < 1:
         raise DomainError(f"tangency order must be positive, got {d_beta}")
-    return d_beta if d_beta % 2 == 1 else -d_beta
+    return minus_one_pow(d_beta + 1) * d_beta
 
 
 def nef_local_factor(d_beta: int, e_beta: int) -> int:
     """Factor (-1)^((D+E).beta) * (D.beta)(E.beta) for nef two-divisor pairs."""
     if d_beta < 1 or e_beta < 1:
         raise DomainError("both intersection numbers must be positive")
-    sign = 1 if (d_beta + e_beta) % 2 == 0 else -1
-    return sign * d_beta * e_beta
+    return minus_one_pow(d_beta + e_beta) * d_beta * e_beta
 
 
 def loglocal_prefactor_series(d_beta: int, cutoff: int) -> LaurentPoly:
@@ -163,7 +141,7 @@ def loglocal_prefactor_series(d_beta: int, cutoff: int) -> LaurentPoly:
             if h[i]:
                 acc += h[i] * hinv[n - i]
         hinv[n] = -acc
-    sign = 1 if a % 2 == 1 else -1
+    sign = minus_one_pow(a - 1)
     coeffs = {2 * j - 1: sign * hinv[2 * j] / a
               for j in range(0, length // 2 + 1)
               if 2 * j < length and 2 * j - 1 <= cutoff and hinv[2 * j]}
@@ -184,10 +162,10 @@ def _by_degree(values: Sequence | Mapping[int, object], what: str) -> list:
     return list(values)
 
 
-def _cover_kernel(l: int) -> RationalFunc:
-    """(1/l) (q^(1/2)-q^(-1/2)) / (q^(l/2)-q^(-l/2)) on the t-grid."""
+def _cover_term(l: int, omega: RationalFunc) -> RationalFunc:
+    """The l-fold cover term (1/l) (t - t^-1)/(t^l - t^-l) * omega(t^l) on the t-grid."""
     return RationalFunc(LaurentPoly({1: 1, -1: -1}),
-                        LaurentPoly({l: l, -l: -l}))
+                        LaurentPoly({l: l, -l: -l})) * omega.substitute_power(l)
 
 
 def multicover_bar_from_omega(omega) -> list[RationalFunc]:
@@ -195,17 +173,8 @@ def multicover_bar_from_omega(omega) -> list[RationalFunc]:
 
     bar_d = sum over l | d of (1/l) (t - t^-1)/(t^l - t^-l) * omega_{d/l}(t^l).
     """
-    om = _by_degree(omega, "omega")
-    bar: list[RationalFunc] = []
-    for d in range(1, len(om) + 1):
-        acc = RationalFunc.zero()
-        for l in divisors(d):
-            inner = om[d // l - 1]
-            if isinstance(inner, RationalFunc):
-                inner = inner.as_laurent()
-            acc = acc + _cover_kernel(l) * RationalFunc(inner.substitute_power(l))
-        bar.append(acc)
-    return bar
+    om = [RationalFunc(_to_rf(x).as_laurent()) for x in _by_degree(omega, "omega")]
+    return divisor_sum(om, _cover_term)
 
 
 def multicover_omega_from_bar(bar) -> list[LaurentPoly]:
@@ -214,20 +183,12 @@ def multicover_omega_from_bar(bar) -> list[LaurentPoly]:
     Raises ValueError if the recursion does not clear denominators, which
     signals input outside the Laurent-polynomial regime.
     """
-    bars = [_to_rf(b) for b in _by_degree(bar, "omega_bar")]
-    omega: list[LaurentPoly] = []
-    for d in range(1, len(bars) + 1):
-        acc = bars[d - 1]
-        for l in divisors(d):
-            if l == 1:
-                continue
-            acc = acc - _cover_kernel(l) * RationalFunc(
-                omega[d // l - 1].substitute_power(l))
+    omega = divisor_inversion([_to_rf(b) for b in _by_degree(bar, "omega_bar")], _cover_term)
+    for d, acc in enumerate(omega, start=1):
         if not acc.is_laurent:
             raise ValueError(
                 f"multi-cover inversion at degree {d} is not a Laurent polynomial: {acc}")
-        omega.append(acc.as_laurent())
-    return omega
+    return [acc.as_laurent() for acc in omega]
 
 
 def _to_rf(x) -> RationalFunc:
@@ -236,30 +197,18 @@ def _to_rf(x) -> RationalFunc:
     return RationalFunc(x)
 
 
+def _over_cube(k: int, n: Fraction) -> Fraction:
+    return n / k**3
+
+
 def gv_from_gw_genus0(gw) -> list[Fraction]:
     """Triangular solve of GW_d = sum_{k | d} n_{d/k} / k^3 for the n's."""
-    values = [Fraction(x) for x in _by_degree(gw, "gw")]
-    n: list[Fraction] = []
-    for d in range(1, len(values) + 1):
-        acc = values[d - 1]
-        for k in divisors(d):
-            if k == 1:
-                continue
-            acc -= Fraction(n[d // k - 1], k**3)
-        n.append(acc)
-    return n
+    return divisor_inversion([Fraction(x) for x in _by_degree(gw, "gw")], _over_cube)
 
 
 def gw_from_gv_genus0(gv) -> list[Fraction]:
     """Multiple-cover sum GW_d = sum_{k | d} n_{d/k} / k^3."""
-    values = [Fraction(x) for x in _by_degree(gv, "gv")]
-    gw: list[Fraction] = []
-    for d in range(1, len(values) + 1):
-        acc = Fraction(0)
-        for k in divisors(d):
-            acc += Fraction(values[d // k - 1], k**3)
-        gw.append(acc)
-    return gw
+    return divisor_sum([Fraction(x) for x in _by_degree(gv, "gv")], _over_cube)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +238,7 @@ def partition_sum_lhs(d: int) -> Fraction:
     """
     if d < 1:
         raise DomainError(f"degree must be positive, got {d}")
-    ka = [0] + [2 * d * (binomial(3 * k, k) if k % 2 == 1 else -binomial(3 * k, k))
-                for k in range(1, d + 1)]
+    ka = [0] + [2 * d * minus_one_pow(k - 1) * binomial(3 * k, k) for k in range(1, d + 1)]
     g = [1] + [0] * d
     for n in range(1, d + 1):
         acc = 0
@@ -333,6 +281,12 @@ def load_p2_table(path: str | None = None) -> list[tuple[int, Fraction, Fraction
             raise FixturesMissing(
                 f"fixtures file {candidate} must have header d,gw_nodal,gw_smooth")
         for row in reader:
-            rows.append((int(row["d"]), Fraction(row["gw_nodal"]), Fraction(row["gw_smooth"])))
+            try:
+                rows.append((int(row["d"]), Fraction(row["gw_nodal"]),
+                             Fraction(row["gw_smooth"])))
+            except (TypeError, ValueError, ZeroDivisionError) as err:
+                raise FixturesMissing(
+                    f"fixtures file {candidate} has a malformed row at line "
+                    f"{reader.line_num}: {row}") from err
     rows.sort(key=lambda r: r[0])
     return rows

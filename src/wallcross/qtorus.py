@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .algebra import LaurentPoly, RationalFunc
-from .combinat import quantum_integer
+from .algebra import LaurentPoly, RationalFunc, log_coeffs
+from .combinat import minus_one_pow, quantum_integer
 from .errors import BasisResidue, NotDivisible, OrderOverflow, TruncationMismatch
 from .invariants import multicover_omega_from_bar
 
@@ -274,29 +274,6 @@ def ks_factorization(m: int, order: int) -> Factorization:
     return Factorization(pairing=m, order=order, product=target, rays=rays)
 
 
-def _log_series(coeffs: Mapping[int, RationalFunc], upto: int) -> list[RationalFunc]:
-    """log(1 + sum_k F_k u^k) as a list of u-coefficients; index 0 unused."""
-    f = [_RF0] * (upto + 1)
-    for k, c in coeffs.items():
-        if k <= upto:
-            f[k] = c
-    log = [_RF0] * (upto + 1)
-    for n in range(1, upto + 1):
-        acc = f[n] * n
-        for i in range(1, n):
-            acc = acc - log[i] * f[n - i] * i
-        log[n] = acc / n
-    return log
-
-
-def _bar_sign(m: int, d: int) -> int:
-    # (-1)^(m d), frozen by two anchors: dimension (1,1) must give
-    # (-1)^(m-1) [m]_q, and the t = 1 limits must match the Moebius-sum DT
-    # values for m in {3, 4}, d <= 2.  Any other sign family either breaks
-    # an anchor or fails to clear denominators in the inversion.
-    return 1 if (m * d) % 2 == 0 else -1
-
-
 def ks_factorize(m: int, order: int) -> list[RefinedDT]:
     """Refined DT invariants at diagonal dimension vectors (d, d), d <= order.
 
@@ -305,6 +282,9 @@ def ks_factorize(m: int, order: int) -> list[RefinedDT]:
     relation; the results are palindromic Laurent polynomials with integer
     coefficients, and their t = 1 limits match the numerical DT invariants.
     """
+    dmax = MAX_FACTOR_ORDER // 2
+    if order < 1 or order > dmax:
+        raise OrderOverflow(f"d must be in 1..{dmax}, got {order}")
     factorization = ks_factorization(m, 2 * order)
     return refined_from_factorization(factorization, order)
 
@@ -315,11 +295,14 @@ def refined_from_factorization(factorization: Factorization, dmax: int) -> list[
         raise OrderOverflow(
             f"factorization order {factorization.order} cannot resolve d = {dmax}")
     m = factorization.pairing
-    log = _log_series(factorization.diagonal_coeffs(), dmax)
+    central = factorization.diagonal_coeffs()
+    log = log_coeffs([_RF1] + [central.get(k, _RF0) for k in range(1, dmax + 1)], _RF0)
     tminus = RationalFunc(LaurentPoly({1: 1, -1: -1}))
-    bars = []
-    for d in range(1, dmax + 1):
-        bars.append(tminus * log[d] * _bar_sign(m, d))
+    # The sign (-1)^(m d) is frozen by two anchors: dimension (1,1) must give
+    # (-1)^(m-1) [m]_q, and the t = 1 limits must match the Moebius-sum DT
+    # values for m in {3, 4}, d <= 2.  Any other sign family either breaks
+    # an anchor or fails to clear denominators in the inversion.
+    bars = [tminus * log[d] * minus_one_pow(m * d) for d in range(1, dmax + 1)]
     omegas = multicover_omega_from_bar(bars)
     out = []
     for d, omega in enumerate(omegas, start=1):
@@ -383,9 +366,9 @@ def gv_from_refined(quotient: LaurentPoly) -> list:
             raise BasisResidue(f"residue {work} not expressible in the GV basis")
         g = k // 2
         top = work.coeff(k)
-        n_g = top if g % 2 == 0 else -top
+        n_g = top * minus_one_pow(g)
         coeffs[g] = n_g
-        work = work - seesaw ** (2 * g) * (n_g if g % 2 == 0 else -n_g)
+        work = work - seesaw ** (2 * g) * top
     gmax = max(coeffs)
     out = []
     for g in range(gmax + 1):

@@ -26,7 +26,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .combinat import binomial, divisors
+from .algebra import log_coeffs
+from .combinat import binomial, divisor_inversion, minus_one_pow
 from .errors import DomainError, InsufficientOrder, NonPrimitiveInput, OrderOverflow
 
 MAX_ORDER = 64
@@ -350,22 +351,6 @@ def consistency_defect(diagram: ScatteringDiagram) -> list[tuple[tuple[int, int]
 # DT extraction from the central ray
 
 
-def _log_coeffs(wall: Mapping[int, Fraction], upto: int) -> list[Fraction]:
-    """Coefficients of log(1 + sum_j c_j u^j) up to u^upto; index 0 unused."""
-    f = [Fraction(0)] * (upto + 1)
-    for j, c in wall.items():
-        if j <= upto:
-            f[j] = c
-    log = [Fraction(0)] * (upto + 1)
-    # power-series identity: (log f)' f = f', solved triangularly
-    for n in range(1, upto + 1):
-        acc = f[n] * n
-        for i in range(1, n):
-            acc -= i * log[i] * f[n - i]
-        log[n] = acc / n
-    return log
-
-
 def central_ray_omega(diagram: ScatteringDiagram, d: int) -> Fraction:
     """Numerical DT invariant at diagonal dimension (d, d) from the central ray.
 
@@ -383,17 +368,11 @@ def central_ray_omega(diagram: ScatteringDiagram, d: int) -> Fraction:
             f"complete to order >= {2 * d}")
     central = diagram.central_ray()
     wall = central.wall_coeffs() if central is not None else {}
-    log = _log_coeffs(wall, d)
+    log = log_coeffs([Fraction(1)] + [wall.get(j, Fraction(0)) for j in range(1, d + 1)],
+                     Fraction(0))
     m = diagram.pairing
-    omega: list[Fraction] = []
-    for k in range(1, d + 1):
-        sign = 1 if (m * k) % 2 == 1 else -1
-        bar = sign * log[k] / k
-        for l in divisors(k):
-            if l > 1:
-                bar -= Fraction(omega[k // l - 1], l * l)
-        omega.append(bar)
-    return omega[d - 1]
+    bars = [minus_one_pow(m * k - 1) * log[k] / k for k in range(1, d + 1)]
+    return divisor_inversion(bars, lambda l, omega: omega / (l * l))[d - 1]
 
 
 def central_log_closed_form(m: int, d: int) -> Fraction:

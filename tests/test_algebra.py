@@ -10,6 +10,8 @@ from wallcross.algebra import (
     GradedSeries,
     LaurentPoly,
     RationalFunc,
+    exp_coeffs,
+    log_coeffs,
     rational_from_str,
     rational_to_str,
     rf_reduce,
@@ -224,6 +226,19 @@ def test_rf_field_axioms_random():
     assert x ** -2 == 1 / (x * x)
 
 
+def test_constants_hash_like_the_scalars_they_equal():
+    assert len({LaurentPoly({0: 1}), 1}) == 1
+    assert len({LaurentPoly(), 0, RationalFunc(0)}) == 1
+    assert len({RationalFunc(3), 3, Fraction(3), LaurentPoly({0: 3})}) == 1
+    assert len({RationalFunc(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({RationalFunc(quantum_integer(3)), quantum_integer(3)}) == 1
+    table = {1: "one", Fraction(1, 2): "half", quantum_integer(2): "[2]"}
+    assert table[LaurentPoly.one()] == "one"
+    assert table[RationalFunc(Fraction(1, 2))] == "half"
+    assert table[RationalFunc(quantum_integer(2))] == "[2]"
+    assert RationalFunc(1, quantum_integer(2)) not in table
+
+
 def test_rf_zero_denominator_rejected():
     with pytest.raises(ZeroDenominator):
         RationalFunc(LaurentPoly.one(), LaurentPoly())
@@ -264,6 +279,56 @@ def test_series_exp_log_round_trip_random():
                              for d in range(1, n + 1)})
         assert series_log(series_exp(s)) == s
         assert series_exp(series_log(GradedSeries.one(n) + s)) == GradedSeries.one(n) + s
+
+
+def _mul_truncated(a: list, b: list, zero) -> list:
+    out = [zero] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] = out[i + j] + x * b[j]
+    return out
+
+
+def exp_power_sum_oracle(a: list, one, zero) -> list:
+    """exp a = sum_i a^i / i!, truncated to len(a) terms; needs a[0] = 0."""
+    acc = [one] + [zero] * (len(a) - 1)
+    term = list(acc)
+    for i in range(1, len(a)):
+        term = [c / i for c in _mul_truncated(term, a, zero)]
+        acc = [x + y for x, y in zip(acc, term)]
+    return acc
+
+
+def log_power_sum_oracle(f: list, one, zero) -> list:
+    """log f = sum_i (-1)^(i-1) u^i / i with u = f - 1, truncated; needs f[0] = 1."""
+    u = [zero] + list(f[1:])
+    acc = [zero] * len(f)
+    upow = [one] + [zero] * (len(f) - 1)
+    for i in range(1, len(f)):
+        upow = _mul_truncated(upow, u, zero)
+        acc = [x + c * Fraction((-1) ** (i - 1), i) for x, c in zip(acc, upow)]
+    return acc
+
+
+def random_palindromic(rng: random.Random) -> LaurentPoly:
+    half = {k: rng.randint(-3, 3) for k in range(0, 3)}
+    return LaurentPoly({**half, **{-k: v for k, v in half.items()}})
+
+
+def test_log_exp_coeffs_against_power_sum_oracles():
+    rng = random.Random(83)
+    rings = [
+        (Fraction(1), Fraction(0), lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 4))),
+        (RationalFunc.one(), RationalFunc.zero(),
+         lambda: RationalFunc(random_palindromic(rng))),
+    ]
+    for one, zero, draw in rings:
+        for n in range(1, 9):
+            a = [zero] + [draw() for _ in range(n)]
+            assert exp_coeffs(a, one) == exp_power_sum_oracle(a, one, zero)
+            f = [one] + a[1:]
+            assert log_coeffs(f, zero) == log_power_sum_oracle(f, one, zero)
+            assert log_coeffs(exp_coeffs(a, one), zero) == a
 
 
 def test_series_bad_constant_term():

@@ -48,12 +48,6 @@ def test_gw_rejected_weight_is_surfaced_per_cell(capsys):
     assert "scatter" in out
 
 
-def test_gw_deterministic_under_jobs(capsys):
-    _, once, _ = run(capsys, "gw", "--r", "2", "--d-max", "8", "--out", "json")
-    _, twice, _ = run(capsys, "gw", "--r", "2", "--d-max", "8", "--out", "json", "--jobs", "4")
-    assert once == twice
-
-
 # ---------------------------------------------------------------------------
 # dt
 
@@ -90,6 +84,13 @@ def test_dt_refined_json_report(capsys):
     assert payload[0]["omega_at_1"] == "3"
     assert payload[1]["omega_at_1"] == "-6"
     assert payload[1]["gv_list"] == ["-1"]
+
+
+def test_dt_refined_size_limit_in_user_units(capsys):
+    code, out, err = run(capsys, "dt", "--refined", "--m", "3", "--d", "9")
+    assert code == 2
+    assert out == ""
+    assert "d must be in 1..8, got 9" in err
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,16 @@ def test_verify_missing_fixtures_is_config_error(capsys, tmp_path):
     assert "fixtures" in err
 
 
+def test_verify_malformed_fixture_row_is_config_error(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("d,gw_nodal,gw_smooth\n1,abc,9\n")
+    code, out, err = run(capsys, "verify", "--suite", "table", "--fixtures", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(bad) in err and "abc" in err
+
+
 def test_verify_detects_corrupt_fixtures(capsys, tmp_path):
     bad = tmp_path / "p2_table.csv"
     bad.write_text("d,gw_nodal,gw_smooth\n1,4,9\n")
@@ -189,3 +200,8 @@ def test_usage_error_exit_code(capsys):
     assert main(["gw"]) == 2  # --r is required
     assert main(["verify", "--suite", "bogus"]) == 2
     assert main(["nonsense"]) == 2
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    assert main(["gw", "--r", "1", "--jobs", "2"]) == 2
+    assert main(["verify", "--suite", "table", "--strict-truncation"]) == 2

@@ -9,6 +9,9 @@ from wallcross.algebra import GradedSeries, LaurentPoly, RationalFunc, rf_reduce
 from wallcross.combinat import (
     Partition,
     binomial,
+    divisor_inversion,
+    divisor_sum,
+    minus_one_pow,
     moebius,
     partition_count,
     partitions,
@@ -57,6 +60,48 @@ def test_moebius_divisor_sums():
     for n in range(2, 201):
         assert sum(moebius(d) for d in range(1, n + 1) if n % d == 0) == 0
     assert sum(moebius(d) for d in [1]) == 1
+
+
+def test_minus_one_pow():
+    assert [minus_one_pow(n) for n in range(-3, 4)] == [-1, 1, -1, 1, -1, 1, -1]
+
+
+def test_divisor_sum_counts_and_sums_divisors():
+    assert divisor_sum([1] * 12, lambda l, x: x) == [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
+    assert divisor_sum([1] * 6, lambda l, x: l * x) == [1, 3, 4, 7, 6, 12]
+
+
+def test_divisor_inversion_is_moebius_inversion():
+    # sum_{l | d} mu(d/l) = [d == 1], so inverting the delta gives mu itself
+    delta = [1] + [0] * 29
+    assert divisor_inversion(delta, lambda l, x: x) == [moebius(d) for d in range(1, 31)]
+    assert divisor_inversion([1] * 30, lambda l, x: x) == delta
+
+
+def _cube_kernel(k: int, n: Fraction) -> Fraction:
+    return n / k**3
+
+
+def _cover_term(l: int, x: RationalFunc) -> RationalFunc:
+    """(1/l) (t - 1/t)/(t^l - t^-l) * x(t^l), the refined multi-cover term."""
+    return RationalFunc(LaurentPoly({1: 1, -1: -1}), LaurentPoly({l: l, -l: -l})) \
+        * x.substitute_power(l)
+
+
+def test_divisor_sum_inversion_round_trips():
+    rng = random.Random(89)
+    for n in range(1, 13):
+        values = [Fraction(rng.randint(-50, 50), rng.randint(1, 6)) for _ in range(n)]
+        sums = divisor_sum(values, _cube_kernel)
+        assert sums[n - 1] == sum((values[n // k - 1] / k**3
+                                   for k in range(1, n + 1) if n % k == 0), Fraction(0))
+        assert divisor_inversion(sums, _cube_kernel) == values
+    for n in range(1, 7):
+        values = []
+        for _ in range(n):
+            half = {k: rng.randint(-4, 4) for k in range(0, 3)}
+            values.append(RationalFunc(LaurentPoly({**half, **{-k: v for k, v in half.items()}})))
+        assert divisor_inversion(divisor_sum(values, _cover_term), _cover_term) == values
 
 
 def test_moebius_rejects_nonpositive():

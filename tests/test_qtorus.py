@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.algebra import LaurentPoly, RationalFunc
+from wallcross.algebra import LaurentPoly, RationalFunc, log_coeffs
 from wallcross.combinat import quantum_integer
 from wallcross.errors import BasisResidue, NotDivisible, OrderOverflow, TruncationMismatch
 from wallcross.invariants import dt_kronecker_numeric
@@ -96,8 +96,8 @@ def test_dilog_log_is_multicover_kernel():
     # (t - 1/t) * [z^n] log E(z) specialises at t = 1 to 1/n^2, the n-fold
     # cover weight of a single wall; checked through n = 4
     coeffs = {n: dilog_coefficient(n) for n in range(1, 5)}
-    from wallcross.qtorus import _log_series
-    log = _log_series(coeffs, 4)
+    log = log_coeffs([RationalFunc.one()] + [coeffs[n] for n in range(1, 5)],
+                     RationalFunc.zero())
     tminus = RationalFunc(LaurentPoly({1: 1, -1: -1}))
     for n in range(1, 5):
         expected = RationalFunc(LaurentPoly({1: 1, -1: -1}),

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallcross.algebra import log_coeffs
 from wallcross.errors import (
     DomainError,
     InsufficientOrder,
@@ -16,7 +17,6 @@ from wallcross.scattering import (
     Ray,
     ScatteringDiagram,
     _XYPoly,
-    _log_coeffs,
     central_log_closed_form,
     central_ray_omega,
     complete_to_consistency,
@@ -148,7 +148,8 @@ def test_central_log_matches_closed_form():
     for m in (3, 4):
         diagram = completed(m, 6)
         wall = diagram.central_ray().wall_coeffs()
-        log = _log_coeffs(wall, 3)
+        log = log_coeffs([Fraction(1)] + [wall.get(j, Fraction(0)) for j in range(1, 4)],
+                         Fraction(0))
         for d in (1, 2, 3):
             assert log[d] == central_log_closed_form(m, d)
 
