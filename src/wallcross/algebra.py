@@ -402,6 +402,8 @@ class RationalFunc:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_laurent and other.is_laurent:
+            return _laurent_rf(self._num + other._num)
         return RationalFunc(self._num * other._den + other._num * self._den,
                             self._den * other._den)
 
@@ -428,6 +430,8 @@ class RationalFunc:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_laurent and other.is_laurent:
+            return _laurent_rf(self._num * other._num)
         return RationalFunc(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
@@ -465,7 +469,7 @@ class RationalFunc:
     @property
     def is_laurent(self) -> bool:
         """True iff the reduced denominator is 1."""
-        return self._den == LaurentPoly.one()
+        return self._den._c == _LP1._c
 
     def as_laurent(self) -> LaurentPoly:
         if not self.is_laurent:
@@ -520,6 +524,16 @@ class RationalFunc:
 
     def __repr__(self) -> str:
         return f"RationalFunc({self._num!r}, {self._den!r})"
+
+
+_LP1 = LaurentPoly.one()
+
+
+def _laurent_rf(num: LaurentPoly) -> RationalFunc:
+    """num / 1, which is already in canonical form: no gcd needed."""
+    out = RationalFunc.__new__(RationalFunc)
+    out._num, out._den = num, _LP1
+    return out
 
 
 def _coerce_lp(x) -> LaurentPoly:

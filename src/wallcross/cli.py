@@ -92,7 +92,9 @@ def _degree_list(args, default_max: int) -> list[int]:
         if d < 1:
             raise WallcrossError(f"--d must be >= 1, got {d}")
         return [d]
-    d_max = getattr(args, "d_max", None) or default_max
+    d_max = getattr(args, "d_max", None)
+    if d_max is None:
+        d_max = default_max
     if d_max < 1:
         raise WallcrossError(f"--d-max must be >= 1, got {d_max}")
     return list(range(1, d_max + 1))
@@ -379,13 +381,17 @@ def _suite_refined(ms: list[int], d_max: int = 2) -> list[Check]:
 
 def cmd_verify(args) -> int:
     suite = args.suite
+    for flag, value in (("--m", args.m), ("--d-max", args.d_max), ("--order", args.order)):
+        if value is not None and value < 1:
+            raise WallcrossError(f"{flag} must be >= 1, got {value}")
     ms = [args.m] if args.m is not None else [3, 4]
-    d_max = getattr(args, "d_max", None)
+    d_max = args.d_max
+    order = args.order if args.order is not None else 6
     started = time.monotonic()
 
     def ranged(name: str, default: int) -> int:
         # the --d-max override only applies to the suite it was aimed at
-        return d_max if (d_max and suite == name) else default
+        return d_max if (d_max is not None and suite == name) else default
 
     checks: list[Check] = []
     if suite in ("table", "all"):
@@ -395,7 +401,7 @@ def cmd_verify(args) -> int:
     if suite in ("partition", "all"):
         checks.extend(_suite_partition(ranged("partition", 50)))
     if suite in ("scatter", "all"):
-        checks.extend(_suite_scatter(ms, d_max=ranged("scatter", 3), order=args.order or 6))
+        checks.extend(_suite_scatter(ms, d_max=ranged("scatter", 3), order=order))
     if suite in ("refined", "all"):
         checks.extend(_suite_refined(ms, d_max=ranged("refined", 2)))
     report = VerifyReport(suite=suite, checks=checks,

@@ -243,14 +243,15 @@ def ks_factorization(m: int, order: int) -> Factorization:
     factors: dict[tuple[int, int], dict[int, RationalFunc]] = {}
 
     for deg in range(1, trunc + 1):
-        acc = QTorusElement.one(m, trunc)
+        # the degree-deg defect only needs the product up to degree deg
+        acc = QTorusElement.one(m, deg)
         for direction in sorted(factors, key=_slope_key):
             coeffs = factors[direction]
             a, b = direction
             terms = {(k * a, k * b): c for k, c in coeffs.items()}
             terms[(0, 0)] = _RF1
-            acc = acc * QTorusElement(m, trunc, terms)
-        defect = target - acc
+            acc = acc * QTorusElement(m, deg, terms)
+        defect = QTorusElement(m, deg, target.terms) - acc
         for (v, c) in sorted(defect.terms.items()):
             if v[0] + v[1] != deg:
                 if v[0] + v[1] < deg:

@@ -17,6 +17,16 @@ Conventions (fixed once, any coherent choice passes the consistency test):
 the loop runs counterclockwise starting just below the positive x-axis, and
 crossing a ray of primitive direction rho sends X^p Y^q to
 X^p Y^q * f^(m * (rho /\\ (p, q))) where (a,b) /\\ (p,q) = a*q - b*p.
+
+Arithmetic: the engine runs on plain ints.  Every wall coefficient of the
+completed diagram is an integer (Gross-Pandharipande-Siebert, "The tropical
+vertex"), the crossing multipliers (1 + u)^e have binomial coefficients, and
+each correction is an exact quotient of an integer defect; the completion
+raises if that division ever leaves a remainder, so the theorem is checked
+at run time.  The public types (`Ray`, `ScatteringDiagram`) keep `Fraction`.
+Step k of the completion truncates the loop product at degree k + 1, the
+least that determines the degree-k defect; one full-order product at the
+end checks the whole diagram.
 """
 
 from __future__ import annotations
@@ -38,88 +48,61 @@ MAX_ORDER = 64
 
 
 class _XYPoly:
-    """Polynomial in X, Y over Fraction, truncated beyond total degree `trunc`."""
+    """Polynomial in X, Y with integer coefficients, truncated beyond total degree `trunc`.
+
+    Completion only ever needs ints (see the module docstring).  A hand-built
+    ray with non-integral `Fraction` coefficients still crosses correctly,
+    because int and Fraction arithmetic mix exactly.
+    """
 
     __slots__ = ("trunc", "c")
 
-    def __init__(self, trunc: int, c: dict[tuple[int, int], Fraction] | None = None):
+    def __init__(self, trunc: int, c: dict[tuple[int, int], int] | None = None):
         self.trunc = trunc
         self.c = c if c is not None else {}
-
-    @classmethod
-    def one(cls, trunc: int) -> _XYPoly:
-        return cls(trunc, {(0, 0): Fraction(1)})
 
     @classmethod
     def monomial(cls, trunc: int, p: int, q: int, coeff=1) -> _XYPoly:
         if p + q > trunc:
             return cls(trunc)
-        return cls(trunc, {(p, q): Fraction(coeff)})
+        return cls(trunc, {(p, q): coeff})
 
-    def copy(self) -> _XYPoly:
-        return _XYPoly(self.trunc, dict(self.c))
-
-    def add_inplace(self, other: _XYPoly, scale: Fraction = Fraction(1)) -> None:
-        for k, v in other.c.items():
-            s = self.c.get(k, Fraction(0)) + scale * v
-            if s:
-                self.c[k] = s
-            else:
-                self.c.pop(k, None)
-
-    def __add__(self, other: _XYPoly) -> _XYPoly:
-        out = self.copy()
-        out.add_inplace(other)
-        return out
-
-    def __sub__(self, other: _XYPoly) -> _XYPoly:
-        out = self.copy()
-        out.add_inplace(other, Fraction(-1))
-        return out
-
-    def __mul__(self, other: _XYPoly) -> _XYPoly:
-        trunc = min(self.trunc, other.trunc)
-        c: dict[tuple[int, int], Fraction] = {}
-        for (pa, qa), va in self.c.items():
-            for (pb, qb), vb in other.c.items():
-                p, q = pa + pb, qa + qb
-                if p + q > trunc:
-                    continue
-                key = (p, q)
-                s = c.get(key, Fraction(0)) + va * vb
-                if s:
-                    c[key] = s
-                else:
-                    c.pop(key, None)
-        return _XYPoly(trunc, c)
-
-    def shift_scale(self, p: int, q: int, coeff: Fraction) -> _XYPoly:
-        """self * coeff * X^p Y^q, truncated."""
-        c = {}
-        for (pa, qa), v in self.c.items():
-            if pa + p + qa + q <= self.trunc:
-                c[(pa + p, qa + q)] = v * coeff
-        return _XYPoly(self.trunc, c)
-
-    def terms_of_degree(self, k: int) -> list[tuple[tuple[int, int], Fraction]]:
+    def terms_of_degree(self, k: int) -> list[tuple[tuple[int, int], int]]:
         return sorted((kk, v) for kk, v in self.c.items() if kk[0] + kk[1] == k)
 
-    def is_one(self) -> bool:
-        return self.c == {(0, 0): Fraction(1)}
+
+def _series_powers(u: list) -> list[list]:
+    """[u^0, u^1, ..., u^n] for a one-variable series u with u[0] = 0.
+
+    Each power is a coefficient list truncated beyond degree n = len(u) - 1;
+    u^i has no terms below degree i.
+    """
+    n = len(u) - 1
+    powers = [[1] + [0] * n]
+    for i in range(1, n + 1):
+        prev = powers[-1]
+        powers.append([0] * i + [sum(u[j] * prev[k - j] for j in range(1, k - i + 2))
+                                 for k in range(i, n + 1)])
+    return powers
 
 
-def _int_power_of_one_plus(u: _XYPoly, e: int) -> _XYPoly:
-    """(1 + u)^e for integer e (negative allowed) with u of positive degree."""
-    out = _XYPoly.one(u.trunc)
-    upow = _XYPoly.one(u.trunc)
-    coeff = Fraction(1)
-    for i in range(1, u.trunc + 1):
-        upow = upow * u
-        if not upow.c:
-            break
-        coeff = coeff * Fraction(e - i + 1, i)
-        if coeff:
-            out.add_inplace(upow, coeff)
+def _int_power_of_one_plus(upows: list[list], e: int) -> list:
+    """(1 + u)^e = sum_i binomial(e, i) u^i for integer e (negative allowed).
+
+    `upows` are the powers of u from :func:`_series_powers`; the result is a
+    coefficient list truncated like them.
+    """
+    n = len(upows) - 1
+    out = upows[0][:]
+    coeff = 1
+    for i in range(1, n + 1):
+        # binomial(e, i) from binomial(e, i - 1): an exact division, also for e < 0
+        coeff = coeff * (e - i + 1) // i
+        if not coeff:
+            break  # e >= 0 and i > e: every later binomial vanishes too
+        ui = upows[i]
+        for k in range(i, n + 1):
+            out[k] += coeff * ui[k]
     return out
 
 
@@ -217,28 +200,34 @@ def wall_crossing_automorphism(ray: Ray, element: _XYPoly, m: int,
     +1 is the counterclockwise crossing, -1 undoes it.
     """
     a, b = ray.direction
-    wall = ray.wall_coeffs()
-    u = _XYPoly(element.trunc)
-    for j, cj in wall.items():
-        p, q = j * abs(a), j * abs(b)
-        if p + q <= element.trunc:
-            u.add_inplace(_XYPoly.monomial(element.trunc, p, q, cj))
-    powers: dict[int, _XYPoly] = {}
-    out = _XYPoly(element.trunc)
+    da, db = abs(a), abs(b)
+    trunc = element.trunc
+    # f = 1 + u(w) is a series in the ray monomial w = X^da Y^db
+    u = [0] * (trunc // (da + db) + 1)
+    for j, cj in ray.wall_powers:
+        if j < len(u):
+            # integral wall coefficients (all of a completed diagram) enter as ints
+            u[j] = cj.numerator if cj.denominator == 1 else cj
+    upows = _series_powers(u)
+    powers: dict[int, list] = {}
+    out: dict[tuple[int, int], int] = {}
+    get = out.get
     for (p, q), coeff in element.c.items():
         e = orientation * m * (a * q - b * p)
         if e == 0:
-            out.add_inplace(_XYPoly.monomial(element.trunc, p, q, coeff))
+            out[(p, q)] = get((p, q), 0) + coeff
             continue
         fe = powers.get(e)
         if fe is None:
-            fe = _int_power_of_one_plus(u, e)
-            powers[e] = fe
-        out.add_inplace(fe.shift_scale(p, q, coeff))
-    return out
+            fe = powers[e] = _int_power_of_one_plus(upows, e)
+        for j in range((trunc - p - q) // (da + db) + 1):
+            if fe[j]:
+                key = (p + j * da, q + j * db)
+                out[key] = get(key, 0) + coeff * fe[j]
+    return _XYPoly(trunc, {k: v for k, v in out.items() if v})
 
 
-def _loop_multipliers(m: int, outgoing: dict[tuple[int, int], dict[int, Fraction]],
+def _loop_multipliers(m: int, outgoing: dict[tuple[int, int], dict[int, int]],
                       trunc: int) -> tuple[_XYPoly, _XYPoly]:
     """Path-ordered product around the origin applied to the generators.
 
@@ -287,19 +276,19 @@ def complete_to_consistency(initial: ScatteringDiagram, order: int) -> Scatterin
         raise OrderOverflow(f"pairing determinant must be >= 1, got {initial.pairing}")
 
     m = initial.pairing
-    trunc = order + 1
-    outgoing: dict[tuple[int, int], dict[int, Fraction]] = {
+    outgoing: dict[tuple[int, int], dict[int, int]] = {
         r.direction: r.wall_coeffs() for r in initial.rays if not r.incoming
     }
 
     for k in range(1, order + 1):
-        mx, my = _loop_multipliers(m, outgoing, trunc)
+        # the degree-k defect of P(X)/X, P(Y)/Y needs P only up to degree k + 1
+        mx, my = _loop_multipliers(m, outgoing, k + 1)
         defect_x = dict(mx.terms_of_degree(k))
         defect_y = dict(my.terms_of_degree(k))
         monomials = sorted(set(defect_x) | set(defect_y))
         for (p, q) in monomials:
-            cx = defect_x.get((p, q), Fraction(0))
-            cy = defect_y.get((p, q), Fraction(0))
+            cx = defect_x.get((p, q), 0)
+            cy = defect_y.get((p, q), 0)
             if not cx and not cy:
                 continue
             if p == 0 or q == 0:
@@ -312,13 +301,17 @@ def complete_to_consistency(initial: ScatteringDiagram, order: int) -> Scatterin
                 raise AssertionError(
                     f"discrepancy at X^{p} Y^{q} is not tangent to ray ({a},{b}): "
                     f"{a}*{cx} + {b}*{cy} != 0")
-            delta = cx / (m * b)
+            delta, rest = divmod(cx, m * b)
+            if rest:
+                raise AssertionError(
+                    f"non-integral wall correction {cx}/{m * b} at X^{p} Y^{q}; "
+                    "the tropical vertex has integer wall functions")
             wall = outgoing.setdefault((a, b), {})
-            wall[g] = wall.get(g, Fraction(0)) + delta
+            wall[g] = wall.get(g, 0) + delta
             if not wall[g]:
                 del wall[g]
 
-    mx, my = _loop_multipliers(m, outgoing, trunc)
+    mx, my = _loop_multipliers(m, outgoing, order + 1)
     for k in range(1, order + 1):
         if mx.terms_of_degree(k) or my.terms_of_degree(k):
             raise AssertionError(f"completion left a discrepancy at order {k}")
@@ -332,7 +325,7 @@ def complete_to_consistency(initial: ScatteringDiagram, order: int) -> Scatterin
     return ScatteringDiagram(pairing=m, order=order, rays=tuple(rays))
 
 
-def consistency_defect(diagram: ScatteringDiagram) -> list[tuple[tuple[int, int], Fraction]]:
+def consistency_defect(diagram: ScatteringDiagram) -> list[tuple[tuple[int, int], int]]:
     """Nonzero terms of the loop-product multipliers up to the diagram's order.
 
     Empty exactly when the path-ordered product of wall crossings around the

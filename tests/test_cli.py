@@ -86,6 +86,14 @@ def test_dt_refined_json_report(capsys):
     assert payload[1]["gv_list"] == ["-1"]
 
 
+def test_dt_d_max_zero_is_config_error(capsys):
+    # 0 is a value, not "flag absent": it must not fall back to the default range
+    code, out, err = run(capsys, "dt", "--refined", "--m", "3", "--d-max", "0")
+    assert code == 2
+    assert out == ""
+    assert "--d-max must be >= 1, got 0" in err
+
+
 def test_dt_refined_size_limit_in_user_units(capsys):
     code, out, err = run(capsys, "dt", "--refined", "--m", "3", "--d", "9")
     assert code == 2
@@ -169,6 +177,27 @@ def test_verify_json_is_deterministic_and_timed_on_stderr(capsys):
     payload = json.loads(out1)
     assert payload["total"] == 6 and payload["failures"] == 0
     assert "duration" not in payload
+
+
+def test_verify_order_zero_is_config_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "scatter", "--order", "0")
+    assert code == 2
+    assert out == ""
+    assert "--order must be >= 1, got 0" in err
+
+
+def test_verify_d_max_zero_is_config_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "scatter", "--d-max", "0")
+    assert code == 2
+    assert out == ""
+    assert "--d-max must be >= 1, got 0" in err
+
+
+def test_verify_m_zero_is_config_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "scatter", "--m", "0")
+    assert code == 2
+    assert out == ""
+    assert "--m must be >= 1, got 0" in err
 
 
 def test_verify_missing_fixtures_is_config_error(capsys, tmp_path):

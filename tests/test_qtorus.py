@@ -116,8 +116,9 @@ def test_dilog_rejects_bad_vector():
 
 
 def test_factorization_reproduces_product():
-    for m in (1, 2, 3):
-        fact = ks_factorization(m, 4)
+    # peeling truncates each degree on its own; verify() re-multiplies at full order
+    for m in (1, 2, 3, 4):
+        fact = ks_factorization(m, 6)
         assert fact.verify()
 
 

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wallcross.algebra import log_coeffs
+from wallcross.cli import main
 from wallcross.errors import (
     DomainError,
     InsufficientOrder,
@@ -62,6 +64,16 @@ def test_crossing_and_reverse_crossing_compose_to_identity():
         assert back.c == elem.c
 
 
+def test_crossing_of_integral_ray_stays_in_int():
+    # the completion engine runs on ints; an integral wall must not bring Fractions in
+    ray = Ray.make((1, 2), False, {1: Fraction(3), 2: Fraction(-5)})
+    elem = _XYPoly(8, {(1, 0): 2, (0, 1): -1, (2, 1): 7})
+    for orientation in (1, -1):
+        out = wall_crossing_automorphism(ray, elem, 3, orientation)
+        assert len(out.c) > len(elem.c)
+        assert all(type(v) is int for v in out.c.values())
+
+
 def test_ray_requires_primitive_direction():
     with pytest.raises(NonPrimitiveInput):
         Ray.make((2, 4), False, {1: Fraction(1)})
@@ -91,12 +103,13 @@ def test_affine_tower_m2():
 
 def test_consistency_defect_empty_for_completed_diagrams():
     for m in (1, 2, 3, 4, 5):
-        assert consistency_defect(completed(m, 5)) == []
+        assert consistency_defect(completed(m, 12)) == []
 
 
 def test_completion_is_mirror_symmetric():
-    for m in (2, 3):
-        walls = {r.direction: r.wall_coeffs() for r in completed(m, 5).outgoing()}
+    # covers every non-central ray, not just the central one read by the extraction
+    for m in (1, 2, 3, 4):
+        walls = {r.direction: r.wall_coeffs() for r in completed(m, 12).outgoing()}
         for (a, b), coeffs in walls.items():
             assert walls[(b, a)] == coeffs
 
@@ -161,6 +174,12 @@ def test_extraction_preconditions():
         central_ray_omega(diagram, 2)
     with pytest.raises(DomainError):
         central_ray_omega(diagram, 0)
+
+
+def test_scatter_order20_matches_golden(capsys):
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "goldens" / "scatter_m3_order20.json"
+    assert main(["scatter", "--m", "3", "--order", "20", "--out", "json"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_diagram_json_shape():
