@@ -3,112 +3,28 @@
 Three independent pipelines compute the same numbers: closed formulas,
 Moebius/plethystic inversion, and scattering/wall-crossing; the package also
 carries the refined (quantum) layer and cross-validation suites.
+
+The top level re-exports the closed formulas only.  Everything else is
+imported from its submodule: ``wallcross.algebra``, ``combinat``,
+``invariants``, ``scattering``, ``qtorus`` and ``cli``.
 """
 
-from .algebra import (
-    GradedSeries,
-    LaurentPoly,
-    RationalFunc,
-    rational_from_str,
-    rational_to_str,
-    rf_reduce,
-    series_exp,
-    series_log,
-)
-from .combinat import (
-    Partition,
-    binomial,
-    moebius,
-    partition_count,
-    partitions,
-    plethystic_exp,
-    plethystic_log,
-    quantum_integer,
-)
 from .invariants import (
-    PairParams,
     binomial_identity_check,
-    c_ord,
     dt_kronecker_numeric,
-    gv_from_gw_genus0,
-    gw_from_gv_genus0,
     gw_local_p1,
     gw_selfnodal,
     load_p2_table,
     log_local_factor,
-    loglocal_prefactor_series,
-    multicover_bar_from_omega,
-    multicover_omega_from_bar,
-    nef_local_factor,
-    partition_sum_lhs,
-)
-from .qtorus import (
-    QTorusElement,
-    RefinedDT,
-    divisibility_check,
-    gv_from_refined,
-    ks_factorization,
-    ks_factorize,
-    quantum_dilog,
-    quotient_by_quantum_number,
-)
-from .scattering import (
-    Ray,
-    ScatteringDiagram,
-    central_ray_omega,
-    complete_to_consistency,
-    consistency_defect,
-    initial_diagram,
-    wall_crossing_automorphism,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GradedSeries",
-    "LaurentPoly",
-    "PairParams",
-    "Partition",
-    "QTorusElement",
-    "RationalFunc",
-    "Ray",
-    "RefinedDT",
-    "ScatteringDiagram",
-    "binomial",
     "binomial_identity_check",
-    "c_ord",
-    "central_ray_omega",
-    "complete_to_consistency",
-    "consistency_defect",
-    "divisibility_check",
     "dt_kronecker_numeric",
-    "gv_from_gw_genus0",
-    "gv_from_refined",
-    "gw_from_gv_genus0",
     "gw_local_p1",
     "gw_selfnodal",
-    "initial_diagram",
-    "ks_factorization",
-    "ks_factorize",
     "load_p2_table",
     "log_local_factor",
-    "loglocal_prefactor_series",
-    "moebius",
-    "multicover_bar_from_omega",
-    "multicover_omega_from_bar",
-    "nef_local_factor",
-    "partition_count",
-    "partition_sum_lhs",
-    "partitions",
-    "plethystic_exp",
-    "plethystic_log",
-    "quantum_dilog",
-    "quantum_integer",
-    "quotient_by_quantum_number",
-    "rational_from_str",
-    "rational_to_str",
-    "rf_reduce",
-    "series_exp",
-    "series_log",
-    "wall_crossing_automorphism",
 ]

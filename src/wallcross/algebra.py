@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
-from .errors import BadConstantTerm, CutoffMismatch, ZeroDenominator
+from .errors import BadConstantTerm, ZeroDenominator
 
 Scalar = Union[int, Fraction]
 
@@ -86,10 +86,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> LaurentPoly:
         return cls({0: 1})
-
-    @classmethod
-    def term(cls, coeff: Scalar, exp: int = 0) -> LaurentPoly:
-        return cls({exp: coeff})
 
     @classmethod
     def t_power(cls, k: int) -> LaurentPoly:
@@ -219,18 +215,6 @@ class LaurentPoly:
     def is_palindromic(self) -> bool:
         """True iff coeff(k) = coeff(-k) for every exponent k."""
         return all(self._c.get(-k, _F0) == v for k, v in self._c.items())
-
-    def reversed_var(self) -> LaurentPoly:
-        """Substitute t -> t^(-1)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {-k: v for k, v in self._c.items()}
-        return out
-
-    def shifted(self, k: int) -> LaurentPoly:
-        """Multiply by t^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + k: v for e, v in self._c.items()}
-        return out
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact evaluation at t = x (x nonzero if negative exponents occur)."""
@@ -567,11 +551,6 @@ def _rf_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laurent
     return _from_dense(dn, lo_n - lo_d), _from_dense(dd, 0)
 
 
-def rf_reduce(num, den) -> RationalFunc:
-    """Build the canonical reduced quotient num/den."""
-    return RationalFunc(num, den)
-
-
 # ---------------------------------------------------------------------------
 # Truncated graded series
 
@@ -579,20 +558,17 @@ def rf_reduce(num, den) -> RationalFunc:
 class GradedSeries:
     """Formal series in z, truncated beyond degree ``cutoff``.
 
-    Coefficients are RationalFunc values keyed by degree 0..cutoff.  Binary
-    operations silently truncate to the smaller cutoff; constructing either
-    operand with ``strict=True`` turns a cutoff mismatch into an error
-    instead, which is useful when auditing a computation.
+    Coefficients are RationalFunc values keyed by degree 0..cutoff.  A
+    binary operation on series with different cutoffs truncates to the
+    smaller one, since only those terms are known for both operands.
     """
 
-    __slots__ = ("_cutoff", "_coeffs", "_strict")
+    __slots__ = ("_cutoff", "_coeffs")
 
-    def __init__(self, cutoff: int, coeffs: Mapping[int, object] | None = None,
-                 strict: bool = False):
+    def __init__(self, cutoff: int, coeffs: Mapping[int, object] | None = None):
         if not isinstance(cutoff, int) or cutoff < 0:
             raise ValueError("cutoff must be a non-negative integer")
         self._cutoff = cutoff
-        self._strict = bool(strict)
         c: dict[int, RationalFunc] = {}
         if coeffs:
             for d, v in coeffs.items():
@@ -607,49 +583,36 @@ class GradedSeries:
         self._coeffs = c
 
     @classmethod
-    def one(cls, cutoff: int, strict: bool = False) -> GradedSeries:
-        return cls(cutoff, {0: 1}, strict)
+    def one(cls, cutoff: int) -> GradedSeries:
+        return cls(cutoff, {0: 1})
 
     @classmethod
-    def zero(cls, cutoff: int, strict: bool = False) -> GradedSeries:
-        return cls(cutoff, None, strict)
+    def zero(cls, cutoff: int) -> GradedSeries:
+        return cls(cutoff)
 
     @property
     def cutoff(self) -> int:
         return self._cutoff
 
-    @property
-    def strict(self) -> bool:
-        return self._strict
-
     def coeff(self, d: int) -> RationalFunc:
         return self._coeffs.get(d, RationalFunc.zero())
-
-    def degrees(self) -> list[int]:
-        return sorted(self._coeffs)
-
-    def _merge_cutoff(self, other: GradedSeries) -> int:
-        if (self._strict or other._strict) and self._cutoff != other._cutoff:
-            raise CutoffMismatch(f"cutoffs {self._cutoff} != {other._cutoff}")
-        return min(self._cutoff, other._cutoff)
 
     def __add__(self, other) -> GradedSeries:
         other = _as_series(other, self._cutoff)
         if other is NotImplemented:
             return NotImplemented
-        n = self._merge_cutoff(other)
+        n = min(self._cutoff, other._cutoff)
         out: dict[int, RationalFunc] = {}
         for d in range(n + 1):
             v = self.coeff(d) + other.coeff(d)
             if v:
                 out[d] = v
-        return GradedSeries(n, out, self._strict or other._strict)
+        return GradedSeries(n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> GradedSeries:
-        return GradedSeries(self._cutoff, {d: -v for d, v in self._coeffs.items()},
-                            self._strict)
+        return GradedSeries(self._cutoff, {d: -v for d, v in self._coeffs.items()})
 
     def __sub__(self, other) -> GradedSeries:
         other = _as_series(other, self._cutoff)
@@ -667,11 +630,10 @@ class GradedSeries:
         if isinstance(other, (int, Fraction, LaurentPoly, RationalFunc)):
             rf = _as_rf(other)
             return GradedSeries(self._cutoff,
-                                {d: v * rf for d, v in self._coeffs.items()},
-                                self._strict)
+                                {d: v * rf for d, v in self._coeffs.items()})
         if not isinstance(other, GradedSeries):
             return NotImplemented
-        n = self._merge_cutoff(other)
+        n = min(self._cutoff, other._cutoff)
         out: dict[int, RationalFunc] = {}
         for da, va in self._coeffs.items():
             if da > n:
@@ -685,7 +647,7 @@ class GradedSeries:
                     out[d] = s
                 else:
                     out.pop(d, None)
-        return GradedSeries(n, out, self._strict or other._strict)
+        return GradedSeries(n, out)
 
     __rmul__ = __mul__
 
@@ -694,11 +656,6 @@ class GradedSeries:
             rf = _as_rf(other)
             return self * (RationalFunc.one() / rf)
         return NotImplemented
-
-    def truncate(self, cutoff: int) -> GradedSeries:
-        return GradedSeries(cutoff,
-                            {d: v for d, v in self._coeffs.items() if d <= cutoff},
-                            self._strict)
 
     def adams(self, k: int) -> GradedSeries:
         """Substitute t -> t^k inside every coefficient and z -> z^k.
@@ -710,7 +667,7 @@ class GradedSeries:
             raise ValueError("substitution power must be a positive integer")
         out = {d * k: v.substitute_power(k)
                for d, v in self._coeffs.items() if d * k <= self._cutoff}
-        return GradedSeries(self._cutoff, out, self._strict)
+        return GradedSeries(self._cutoff, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSeries):
@@ -783,7 +740,7 @@ def series_exp(s: GradedSeries) -> GradedSeries:
     if s.coeff(0):
         raise BadConstantTerm("series_exp needs constant term 0")
     coeffs = exp_coeffs([s.coeff(d) for d in range(s.cutoff + 1)], RationalFunc.one())
-    return GradedSeries(s.cutoff, dict(enumerate(coeffs)), s.strict)
+    return GradedSeries(s.cutoff, dict(enumerate(coeffs)))
 
 
 def series_log(s: GradedSeries) -> GradedSeries:
@@ -791,4 +748,4 @@ def series_log(s: GradedSeries) -> GradedSeries:
     if s.coeff(0) != RationalFunc.one():
         raise BadConstantTerm("series_log needs constant term 1")
     coeffs = log_coeffs([s.coeff(d) for d in range(s.cutoff + 1)], RationalFunc.zero())
-    return GradedSeries(s.cutoff, dict(enumerate(coeffs)), s.strict)
+    return GradedSeries(s.cutoff, dict(enumerate(coeffs)))

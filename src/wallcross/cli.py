@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import invariants, qtorus, scattering
 from .algebra import LaurentPoly
 from .combinat import divisor_sum, minus_one_pow, quantum_integer
-from .errors import DomainError, WallcrossError
+from .errors import WallcrossError
 
 SUITES = ("table", "chain", "partition", "scatter", "refined", "all")
 
@@ -107,19 +107,9 @@ def _degree_list(args, default_max: int) -> list[int]:
 def cmd_gw(args) -> int:
     degrees = _degree_list(args, 6)
     r = args.r
-
-    def cell(d: int) -> dict:
-        row = {"r": str(r), "d": str(d)}
-        try:
-            row["gw_nodal"] = str(invariants.gw_selfnodal(r, d))
-            row["gw_local"] = str(invariants.gw_local_p1(r, d))
-        except DomainError as err:
-            msg = f"DomainError: {err} (see: wallcross scatter)"
-            row["gw_nodal"] = msg
-            row["gw_local"] = msg
-        return row
-
-    rows = [cell(d) for d in degrees]
+    rows = [{"r": str(r), "d": str(d),
+             "gw_nodal": str(invariants.gw_selfnodal(r, d)),
+             "gw_local": str(invariants.gw_local_p1(r, d))} for d in degrees]
     emit_rows(rows, ["r", "d", "gw_nodal", "gw_local"], args.out, sys.stdout)
     return 0
 
@@ -154,15 +144,8 @@ def cmd_dt(args) -> int:
                   args.out, sys.stdout)
         return 0
 
-    def cell(d: int) -> dict:
-        row = {"m": str(m), "d": str(d)}
-        try:
-            row["omega_numeric"] = str(invariants.dt_kronecker_numeric(m, d))
-        except DomainError as err:
-            row["omega_numeric"] = f"DomainError: {err} (see: wallcross scatter or --refined)"
-        return row
-
-    rows = [cell(d) for d in degrees]
+    rows = [{"m": str(m), "d": str(d),
+             "omega_numeric": str(invariants.dt_kronecker_numeric(m, d))} for d in degrees]
     emit_rows(rows, ["m", "d", "omega_numeric"], args.out, sys.stdout)
     return 0
 
@@ -316,8 +299,6 @@ def _suite_scatter(ms: list[int], d_max: int = 3, order: int = 6) -> list[Check]
             anchor="pentagon: single new ray, no higher corrections",
         ))
     for m in ms:
-        if m < 3:
-            continue
         diagram = scattering.complete_to_consistency(scattering.initial_diagram(m), order)
         for d in range(1, min(d_max, order // 2) + 1):
             lhs = scattering.central_ray_omega(diagram, d)
@@ -345,8 +326,6 @@ def _suite_refined(ms: list[int], d_max: int = 2) -> list[Check]:
             anchor="dimension (1,1): signed Poincare polynomial of P^(m-1)",
         ))
     for m in ms:
-        if m < 3:
-            continue
         records = qtorus.ks_factorize(m, d_max)
         for rec in records:
             d = rec.dimension_vector[0]
@@ -384,6 +363,10 @@ def cmd_verify(args) -> int:
     for flag, value in (("--m", args.m), ("--d-max", args.d_max), ("--order", args.order)):
         if value is not None and value < 1:
             raise WallcrossError(f"{flag} must be >= 1, got {value}")
+    if args.m is not None and args.m < 3 and suite in ("scatter", "refined", "all"):
+        raise WallcrossError(
+            f"--m must be >= 3 for --suite {suite}, got {args.m}; "
+            "m = 1, 2 are covered by the fixed pentagon and Poincare anchors")
     ms = [args.m] if args.m is not None else [3, 4]
     d_max = args.d_max
     order = args.order if args.order is not None else 6
@@ -473,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf = sub.add_parser("verify", help="run cross-check suites; exit 1 on any failure")
     p_vf.add_argument("--suite", choices=SUITES, default="all")
     p_vf.add_argument("--d-max", type=int, dest="d_max", help="override the suite's degree range")
-    p_vf.add_argument("--m", type=int, help="restrict scatter/refined suites to one m")
+    p_vf.add_argument("--m", type=int, help="restrict scatter/refined suites to one m >= 3")
     p_vf.add_argument("--order", type=int, help="scattering order (default 6)")
     p_vf.add_argument("--fixtures", help="path to the golden fixtures CSV "
                       "(falls back to $WALLCROSS_FIXTURES, then the packaged copy)")

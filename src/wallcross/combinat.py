@@ -1,18 +1,16 @@
 """Integer combinatorics and the plethystic calculus.
 
-Partitions, the Moebius function, binomials, the sign (-1)^n, divisor sums
-and their inversion, quantum integers, and the plethystic Exp/Log pair
-acting on truncated graded series.
+The Moebius function, binomials, the sign (-1)^n, divisor sums and their
+inversion, quantum integers, and the plethystic Exp/Log pair acting on
+truncated graded series.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .algebra import GradedSeries, LaurentPoly, series_exp, series_log
+from .algebra import GradedSeries, LaurentPoly, RationalFunc, series_exp, series_log
 from .errors import BadConstantTerm, NonPositive
 
 
@@ -92,70 +90,6 @@ def divisor_inversion(sums: Sequence, term: Callable) -> list:
     return values
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Unordered partition with strictly positive parts, stored descending."""
-
-    parts: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
-    def aut(self) -> int:
-        """Order of the automorphism group: product of multiplicity factorials."""
-        a = 1
-        for mult in Counter(self.parts).values():
-            a *= math.factorial(mult)
-        return a
-
-
-def partitions(d: int) -> Iterator[Partition]:
-    """All partitions of d, each exactly once, in reverse-lexicographic order."""
-    if not isinstance(d, int) or d < 0:
-        raise NonPositive(f"partitions needs a non-negative integer, got {d!r}")
-
-    def rec(remaining: int, max_part: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for p in range(min(max_part, remaining), 0, -1):
-            prefix.append(p)
-            yield from rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    for parts in rec(d, d, []):
-        yield Partition(parts)
-
-
-def partition_count(d: int) -> int:
-    """p(d) via the pentagonal-number recurrence (independent of the enumerator)."""
-    if d < 0:
-        raise NonPositive(f"partition_count needs a non-negative integer, got {d!r}")
-    p = [1] + [0] * d
-    for n in range(1, d + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > n and g2 > n:
-                break
-            sign = minus_one_pow(k - 1)
-            if g1 <= n:
-                total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
-    return p[d]
-
-
 def quantum_integer(m: int) -> LaurentPoly:
     """The quantum number [m]_q = (q^(m/2)-q^(-m/2))/(q^(1/2)-q^(-1/2)).
 
@@ -177,7 +111,7 @@ def plethystic_exp(s: GradedSeries) -> GradedSeries:
     if s.coeff(0):
         raise BadConstantTerm("plethystic_exp needs constant term 0")
     n = s.cutoff
-    acc = GradedSeries.zero(n, s.strict)
+    acc = GradedSeries.zero(n)
     for k in range(1, n + 1):
         acc = acc + s.adams(k) / k
     return series_exp(acc)
@@ -188,13 +122,11 @@ def plethystic_log(s: GradedSeries) -> GradedSeries:
 
     Needs constant term 1.  Computed as sum_k (mu(k)/k) log(s)(t^k, z^k).
     """
-    from .algebra import RationalFunc
-
     if s.coeff(0) != RationalFunc.one():
         raise BadConstantTerm("plethystic_log needs constant term 1")
     n = s.cutoff
     inner = series_log(s)
-    acc = GradedSeries.zero(n, s.strict)
+    acc = GradedSeries.zero(n)
     for k in range(1, n + 1):
         mu = moebius(k)
         if mu:

@@ -13,10 +13,6 @@ class BadConstantTerm(WallcrossError):
     """exp needs constant term 0, log (plain or plethystic) needs 1."""
 
 
-class CutoffMismatch(WallcrossError):
-    """Strict-mode binary operation on series with different cutoffs."""
-
-
 class NonPositive(WallcrossError):
     """Argument must be a positive integer."""
 

@@ -202,21 +202,24 @@ class Factorization:
     product: QTorusElement
     rays: tuple[tuple[tuple[int, int], tuple[tuple[int, RationalFunc], ...]], ...]
 
-    def factor_element(self, direction: tuple[int, int]) -> QTorusElement:
-        coeffs = dict(dict(self.rays).get(tuple(direction), ()))
-        a, b = direction
-        terms = {(k * a, k * b): c for k, c in coeffs.items()}
-        terms[(0, 0)] = _RF1
-        return QTorusElement(self.pairing, self.product.trunc, terms)
-
     def verify(self) -> bool:
-        acc = QTorusElement.one(self.pairing, self.product.trunc)
-        for direction, _ in self.rays:
-            acc = acc * self.factor_element(direction)
+        trunc = self.product.trunc
+        acc = QTorusElement.one(self.pairing, trunc)
+        for direction, coeffs in self.rays:
+            acc = acc * _factor_element(self.pairing, trunc, direction, dict(coeffs))
         return acc == self.product
 
     def diagonal_coeffs(self) -> dict[int, RationalFunc]:
         return dict(dict(self.rays).get((1, 1), ()))
+
+
+def _factor_element(m: int, trunc: int, direction: tuple[int, int],
+                    coeffs: Mapping[int, RationalFunc]) -> QTorusElement:
+    """The factor 1 + sum_k F_k x_(k v) of the ray v = `direction`."""
+    a, b = direction
+    terms = {(k * a, k * b): c for k, c in coeffs.items()}
+    terms[(0, 0)] = _RF1
+    return QTorusElement(m, trunc, terms)
 
 
 def _slope_key(direction: tuple[int, int]):
@@ -246,11 +249,7 @@ def ks_factorization(m: int, order: int) -> Factorization:
         # the degree-deg defect only needs the product up to degree deg
         acc = QTorusElement.one(m, deg)
         for direction in sorted(factors, key=_slope_key):
-            coeffs = factors[direction]
-            a, b = direction
-            terms = {(k * a, k * b): c for k, c in coeffs.items()}
-            terms[(0, 0)] = _RF1
-            acc = acc * QTorusElement(m, deg, terms)
+            acc = acc * _factor_element(m, deg, direction, factors[direction])
         defect = QTorusElement(m, deg, target.terms) - acc
         for (v, c) in sorted(defect.terms.items()):
             if v[0] + v[1] != deg:

@@ -311,18 +311,18 @@ def complete_to_consistency(initial: ScatteringDiagram, order: int) -> Scatterin
             if not wall[g]:
                 del wall[g]
 
-    mx, my = _loop_multipliers(m, outgoing, order + 1)
-    for k in range(1, order + 1):
-        if mx.terms_of_degree(k) or my.terms_of_degree(k):
-            raise AssertionError(f"completion left a discrepancy at order {k}")
-
     rays = [Ray.make((1, 0), True, {1: Fraction(1)})]
     for direction in sorted(outgoing, key=_ray_sort_key):
         coeffs = outgoing[direction]
         if coeffs:
             rays.append(Ray.make(direction, False, coeffs))
     rays.append(Ray.make((0, 1), True, {1: Fraction(1)}))
-    return ScatteringDiagram(pairing=m, order=order, rays=tuple(rays))
+    diagram = ScatteringDiagram(pairing=m, order=order, rays=tuple(rays))
+    defects = consistency_defect(diagram)
+    if defects:
+        k = min(p + q for (p, q), _ in defects)
+        raise AssertionError(f"completion left a discrepancy at order {k}")
+    return diagram
 
 
 def consistency_defect(diagram: ScatteringDiagram) -> list[tuple[tuple[int, int], int]]:

@@ -14,12 +14,11 @@ from wallcross.algebra import (
     log_coeffs,
     rational_from_str,
     rational_to_str,
-    rf_reduce,
     series_exp,
     series_log,
 )
 from wallcross.combinat import quantum_integer
-from wallcross.errors import BadConstantTerm, CutoffMismatch, ZeroDenominator
+from wallcross.errors import BadConstantTerm, ZeroDenominator
 
 
 def naive_product(a: dict, b: dict) -> dict:
@@ -120,7 +119,7 @@ def test_lp_substitute_preserves_palindromic():
     rng = random.Random(13)
     for _ in range(60):
         f = random_laurent(rng)
-        f = f + f.reversed_var()  # force palindromic
+        f = f + LaurentPoly({-k: v for k, v in f.items()})  # force palindromic
         assert f.is_palindromic()
         assert f.substitute_power(rng.randint(1, 6)).is_palindromic()
 
@@ -156,7 +155,7 @@ def test_lp_exact_div():
 
 
 def test_rf_reduce_quantum_factorisation():
-    assert rf_reduce(LaurentPoly({2: 1, -2: -1}), LaurentPoly({1: 1, -1: -1})) \
+    assert RationalFunc(LaurentPoly({2: 1, -2: -1}), LaurentPoly({1: 1, -1: -1})) \
         == RationalFunc(quantum_integer(2))
 
 
@@ -166,7 +165,7 @@ def test_rf_reduce_f_over_f():
         f = random_laurent(rng)
         if f.is_zero:
             continue
-        assert rf_reduce(f, f) == RationalFunc.one()
+        assert RationalFunc(f, f) == RationalFunc.one()
 
 
 def test_rf_reduce_against_long_division_oracle():
@@ -174,7 +173,7 @@ def test_rf_reduce_against_long_division_oracle():
     den = LaurentPoly({1: 1, -1: -1})
     oracle = naive_long_division(as_map(num), as_map(den))
     assert oracle == {2: 1, 0: 1, -2: 1}
-    assert rf_reduce(num, den) == RationalFunc(LaurentPoly(oracle))
+    assert RationalFunc(num, den) == RationalFunc(LaurentPoly(oracle))
 
 
 def test_rf_reduce_common_factor_invariance():
@@ -183,7 +182,7 @@ def test_rf_reduce_common_factor_invariance():
         a, b, c = (random_laurent(rng, span=3, scale=4) for _ in range(3))
         if b.is_zero or c.is_zero:
             continue
-        assert rf_reduce(a * c, b * c) == rf_reduce(a, b)
+        assert RationalFunc(a * c, b * c) == RationalFunc(a, b)
 
 
 def test_rf_canonical_form_shape():
@@ -342,11 +341,7 @@ def test_series_cutoff_policy():
     a = GradedSeries(5, {1: 1})
     b = GradedSeries(3, {1: 1})
     assert (a * b).cutoff == 3
-    strict_a = GradedSeries(5, {1: 1}, strict=True)
-    with pytest.raises(CutoffMismatch):
-        strict_a * b
-    # same cutoff is fine in strict mode
-    assert (strict_a * GradedSeries(5, {1: 1})).coeff(2) == RationalFunc(1)
+    assert (a + b).cutoff == 3
 
 
 def test_series_mul_exact_mod_cutoff():

@@ -41,11 +41,11 @@ def test_gw_grid_matches_golden(capsys):
     assert rows[5].split(",")[2] == "11628/25"
 
 
-def test_gw_rejected_weight_is_surfaced_per_cell(capsys):
-    code, out, _ = run(capsys, "gw", "--r", "0", "--d", "1")
-    assert code == 0
-    assert "DomainError" in out
-    assert "scatter" in out
+def test_gw_rejected_weight_is_config_error(capsys):
+    code, out, err = run(capsys, "gw", "--r", "0", "--d", "1")
+    assert code == 2
+    assert out == ""
+    assert "scattering" in err
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +58,11 @@ def test_dt_numeric(capsys):
     assert out.splitlines()[1].split() == ["3", "2", "-6"]
 
 
-def test_dt_numeric_low_m_hints_at_refined(capsys):
-    code, out, _ = run(capsys, "dt", "--m", "1", "--d", "1")
-    assert code == 0
-    assert "DomainError" in out
+def test_dt_numeric_low_m_is_config_error(capsys):
+    code, out, err = run(capsys, "dt", "--m", "1", "--d", "1")
+    assert code == 2
+    assert out == ""
+    assert "scattering" in err
 
 
 def test_dt_refined_rendering(capsys):
@@ -198,6 +199,15 @@ def test_verify_m_zero_is_config_error(capsys):
     assert code == 2
     assert out == ""
     assert "--m must be >= 1, got 0" in err
+
+
+def test_verify_m_below_three_is_config_error(capsys):
+    for suite, m in (("scatter", "2"), ("refined", "2"), ("all", "1")):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--m", m)
+        assert code == 2, suite
+        assert out == "", suite
+        assert f"--m must be >= 3 for --suite {suite}, got {m}" in err
+        assert "anchors" in err
 
 
 def test_verify_missing_fixtures_is_config_error(capsys, tmp_path):

@@ -1,20 +1,17 @@
-"""Partitions, Moebius, binomials, quantum integers, plethystic calculus."""
+"""Moebius, binomials, quantum integers, plethystic calculus."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from wallcross.algebra import GradedSeries, LaurentPoly, RationalFunc, rf_reduce, series_exp
+from wallcross.algebra import GradedSeries, LaurentPoly, RationalFunc, series_exp
 from wallcross.combinat import (
-    Partition,
     binomial,
     divisor_inversion,
     divisor_sum,
     minus_one_pow,
     moebius,
-    partition_count,
-    partitions,
     plethystic_exp,
     plethystic_log,
     quantum_integer,
@@ -127,49 +124,6 @@ def test_binomial_against_pascal():
 
 
 # ---------------------------------------------------------------------------
-# partitions
-
-
-def test_partitions_of_one_and_two():
-    [p1] = list(partitions(1))
-    assert p1.parts == (1,) and p1.aut == 1
-    p2 = {p.parts: p.aut for p in partitions(2)}
-    assert p2 == {(2,): 1, (1, 1): 2}
-
-
-def test_partitions_of_five_has_seven_entries():
-    assert len(list(partitions(5))) == 7
-
-
-def test_partition_counts_match_pentagonal_recurrence():
-    assert [partition_count(d) for d in range(7)] == [1, 1, 2, 3, 5, 7, 11]
-    for d in range(31):
-        assert sum(1 for _ in partitions(d)) == partition_count(d)
-
-
-def test_partitions_exhaustive_and_duplicate_free():
-    for d in range(1, 16):
-        seen = set()
-        for p in partitions(d):
-            assert p.weight == d
-            assert all(x >= 1 for x in p.parts)
-            assert tuple(p.parts) == tuple(sorted(p.parts, reverse=True))
-            assert p.parts not in seen
-            seen.add(p.parts)
-
-
-def test_partitions_reverse_lex_order():
-    got = [p.parts for p in partitions(4)]
-    assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-
-
-def test_partition_aut():
-    assert Partition((3, 3, 2, 1, 1, 1)).aut == 2 * 6
-    assert Partition((5,)).aut == 1
-    assert Partition(()).aut == 1
-
-
-# ---------------------------------------------------------------------------
 # quantum integers
 
 
@@ -188,7 +142,7 @@ def test_quantum_integer_properties_up_to_50():
 
 def test_quantum_integer_as_reduced_quotient():
     for m in range(1, 20):
-        quotient = rf_reduce(LaurentPoly({m: 1, -m: -1}), LaurentPoly({1: 1, -1: -1}))
+        quotient = RationalFunc(LaurentPoly({m: 1, -m: -1}), LaurentPoly({1: 1, -1: -1}))
         assert quotient == RationalFunc(quantum_integer(m))
 
 

@@ -1,12 +1,16 @@
 """Closed formulas, conversion factors, multi-cover and GV inversion, fixtures."""
 
+import math
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
 from wallcross.algebra import LaurentPoly, RationalFunc
-from wallcross.combinat import binomial, divisors, partitions
+from wallcross.combinat import binomial, divisors
 from wallcross.errors import DomainError, FixturesMissing, IndexGap
 from wallcross.invariants import (
     PairParams,
@@ -262,6 +266,66 @@ def exp_series_oracle(d: int) -> Fraction:
     return expo[d] / (2 * d * d)
 
 
+@dataclass(frozen=True)
+class Partition:
+    """Unordered partition with strictly positive parts, stored descending."""
+
+    parts: tuple[int, ...]
+
+    @property
+    def weight(self) -> int:
+        return sum(self.parts)
+
+    @property
+    def length(self) -> int:
+        return len(self.parts)
+
+    @property
+    def aut(self) -> int:
+        """Order of the automorphism group: product of multiplicity factorials."""
+        a = 1
+        for mult in Counter(self.parts).values():
+            a *= math.factorial(mult)
+        return a
+
+
+def partitions(d: int) -> Iterator[Partition]:
+    """All partitions of d, each exactly once, in reverse-lexicographic order."""
+
+    def rec(remaining: int, max_part: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for p in range(min(max_part, remaining), 0, -1):
+            prefix.append(p)
+            yield from rec(remaining - p, p, prefix)
+            prefix.pop()
+
+    for parts in rec(d, d, []):
+        yield Partition(parts)
+
+
+def partition_count(d: int) -> int:
+    """p(d) via the pentagonal-number recurrence (independent of the enumerator)."""
+    p = [1] + [0] * d
+    for n in range(1, d + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            g2 = k * (3 * k + 1) // 2
+            if g1 > n and g2 > n:
+                break
+            sign = 1 if k % 2 == 1 else -1
+            if g1 <= n:
+                total += sign * p[n - g1]
+            if g2 <= n:
+                total += sign * p[n - g2]
+            k += 1
+        p[n] = total
+    return p[d]
+
+
 def partition_enumeration_oracle(d: int) -> Fraction:
     """The defining sum, term by term over every partition of d."""
     total = Fraction(0)
@@ -295,6 +359,49 @@ def test_partition_sum_against_exp_series_oracle():
 def test_partition_sum_against_partition_enumeration_oracle():
     for d in range(1, 21):
         assert partition_sum_lhs(d) == partition_enumeration_oracle(d)
+
+
+# ---------------------------------------------------------------------------
+# The partition oracles themselves
+
+
+def test_partitions_of_one_and_two():
+    [p1] = list(partitions(1))
+    assert p1.parts == (1,) and p1.aut == 1
+    p2 = {p.parts: p.aut for p in partitions(2)}
+    assert p2 == {(2,): 1, (1, 1): 2}
+
+
+def test_partitions_of_five_has_seven_entries():
+    assert len(list(partitions(5))) == 7
+
+
+def test_partition_counts_match_pentagonal_recurrence():
+    assert [partition_count(d) for d in range(7)] == [1, 1, 2, 3, 5, 7, 11]
+    for d in range(31):
+        assert sum(1 for _ in partitions(d)) == partition_count(d)
+
+
+def test_partitions_exhaustive_and_duplicate_free():
+    for d in range(1, 16):
+        seen = set()
+        for p in partitions(d):
+            assert p.weight == d
+            assert all(x >= 1 for x in p.parts)
+            assert tuple(p.parts) == tuple(sorted(p.parts, reverse=True))
+            assert p.parts not in seen
+            seen.add(p.parts)
+
+
+def test_partitions_reverse_lex_order():
+    got = [p.parts for p in partitions(4)]
+    assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def test_partition_aut():
+    assert Partition((3, 3, 2, 1, 1, 1)).aut == 2 * 6
+    assert Partition((5,)).aut == 1
+    assert Partition(()).aut == 1
 
 
 def test_partition_sum_equals_c_ord_and_closed_form():

@@ -106,6 +106,20 @@ def test_consistency_defect_empty_for_completed_diagrams():
         assert consistency_defect(completed(m, 12)) == []
 
 
+def test_consistency_defect_finds_a_perturbed_wall():
+    diagram = complete_to_consistency(initial_diagram(3), 8)
+    rays = []
+    for ray in diagram.rays:
+        if ray.direction == (1, 2):
+            coeffs = ray.wall_coeffs()
+            coeffs[1] += 1
+            ray = Ray.make(ray.direction, ray.incoming, coeffs)
+        rays.append(ray)
+    defects = consistency_defect(ScatteringDiagram(diagram.pairing, diagram.order, tuple(rays)))
+    assert defects
+    assert min(p + q for (p, q), _ in defects) == 3
+
+
 def test_completion_is_mirror_symmetric():
     # covers every non-central ray, not just the central one read by the extraction
     for m in (1, 2, 3, 4):
