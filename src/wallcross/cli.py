@@ -3,7 +3,14 @@
 Subcommands: ``gw`` (closed-form curve counts), ``dt`` (numerical and
 refined Kronecker DT invariants), ``scatter`` (diagram completion and
 central-ray extraction), ``gv`` (genus-zero GV extraction), ``verify``
-(cross-check suites with one pass/fail line per check).
+(cross-check suites with one pass/fail line per check).  ``--d`` and
+``--d-max`` exclude each other.
+
+Each ``verify`` suite reads a fixed set of flags, and giving it any other
+is a configuration error: ``table`` reads ``--fixtures``; ``chain`` and
+``partition`` read ``--d-max``; ``scatter`` reads ``--m``, ``--d-max`` and
+``--order``; ``refined`` reads ``--m`` and ``--d-max``; ``all`` reads
+``--m``, ``--order`` and ``--fixtures``.
 
 Output is deterministic for a fixed configuration: rationals are rendered
 as ``p/q``, Laurent polynomials as sorted exponent maps (JSON) or in
@@ -19,7 +26,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import invariants, qtorus, scattering
@@ -27,7 +34,15 @@ from .algebra import LaurentPoly
 from .combinat import divisor_sum, minus_one_pow, quantum_integer
 from .errors import WallcrossError
 
-SUITES = ("table", "chain", "partition", "scatter", "refined", "all")
+# the flags each verify suite reads, keyed by suite
+SUITES = {
+    "table": ("--fixtures",),
+    "chain": ("--d-max",),
+    "partition": ("--d-max",),
+    "scatter": ("--m", "--d-max", "--order"),
+    "refined": ("--m", "--d-max"),
+    "all": ("--m", "--order", "--fixtures"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -121,25 +136,18 @@ def cmd_dt(args) -> int:
         raise WallcrossError(f"--m must be >= 1, got {m}")
 
     if args.refined:
-        dmax = max(degrees)
+        records = [rec for rec in qtorus.ks_factorize(m, max(degrees))
+                   if rec.dimension_vector[0] in degrees]
         if args.out == "json":
-            report = qtorus.refined_report(m, dmax)
-            wanted = set(degrees)
-            report = [entry for entry in report if entry["dimension_vector"][0] in wanted]
-            sys.stdout.write(json.dumps(report, indent=2) + "\n")
+            sys.stdout.write(json.dumps([rec.to_json() for rec in records], indent=2) + "\n")
             return 0
-        records = {rec.dimension_vector[0]: rec for rec in qtorus.ks_factorize(m, dmax)}
-        rows = []
-        for d in degrees:
-            rec = records[d]
-            ok, quotient = qtorus.divisibility_check(rec.omega, d * m)
-            rows.append({
-                "m": str(m),
-                "d": str(d),
-                "omega_refined": laurent_human(rec.omega),
-                "omega_at_1": str(rec.omega_at_1),
-                "quotient": laurent_human(quotient) if ok else "not divisible",
-            })
+        rows = [{
+            "m": str(m),
+            "d": str(rec.dimension_vector[0]),
+            "omega_refined": laurent_human(rec.omega),
+            "omega_at_1": str(rec.omega_at_1),
+            "quotient": "not divisible" if rec.quotient is None else laurent_human(rec.quotient),
+        } for rec in records]
         emit_rows(rows, ["m", "d", "omega_refined", "omega_at_1", "quotient"],
                   args.out, sys.stdout)
         return 0
@@ -151,8 +159,7 @@ def cmd_dt(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    diagram = scattering.complete_to_consistency(
-        scattering.initial_diagram(args.m), args.order)
+    diagram = scattering.complete_to_consistency(args.m, args.order)
     if args.extract_omega is not None:
         value = scattering.central_ray_omega(diagram, args.extract_omega)
         if args.out == "json":
@@ -203,17 +210,6 @@ class Check:
     lhs: str
     rhs: str
     anchor: str
-
-
-@dataclass
-class VerifyReport:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
-    duration: float = 0.0
-
-    @property
-    def failures(self) -> int:
-        return sum(1 for c in self.checks if not c.passed)
 
 
 def _suite_table(fixtures: str | None) -> list[Check]:
@@ -287,7 +283,7 @@ def _suite_partition(d_max: int = 50) -> list[Check]:
 
 def _suite_scatter(ms: list[int], d_max: int = 3, order: int = 6) -> list[Check]:
     checks = []
-    pentagon = scattering.complete_to_consistency(scattering.initial_diagram(1), order)
+    pentagon = scattering.complete_to_consistency(1, order)
     for d in range(1, min(d_max, order // 2) + 1):
         value = scattering.central_ray_omega(pentagon, d)
         expected = Fraction(1) if d == 1 else Fraction(0)
@@ -299,7 +295,7 @@ def _suite_scatter(ms: list[int], d_max: int = 3, order: int = 6) -> list[Check]
             anchor="pentagon: single new ray, no higher corrections",
         ))
     for m in ms:
-        diagram = scattering.complete_to_consistency(scattering.initial_diagram(m), order)
+        diagram = scattering.complete_to_consistency(m, order)
         for d in range(1, min(d_max, order // 2) + 1):
             lhs = scattering.central_ray_omega(diagram, d)
             rhs = invariants.dt_kronecker_numeric(m, d)
@@ -338,21 +334,15 @@ def _suite_refined(ms: list[int], d_max: int = 2) -> list[Check]:
                 rhs=str(rhs),
                 anchor="t = 1 limit vs Moebius-sum DT",
             ))
-            ok, quotient = qtorus.divisibility_check(rec.omega, d * m)
-            gv_ok = False
-            gv_render = "n/a"
-            if ok:
-                try:
-                    gv = qtorus.gv_from_refined(quotient)
-                    gv_ok = all(isinstance(n, int) for n in gv)
-                    gv_render = "[" + ", ".join(str(n) for n in gv) + "]"
-                except WallcrossError:
-                    gv_ok = False
+            quotient, gv = rec.quotient, rec.gv
+            quotient_render = "?" if quotient is None else laurent_human(quotient)
+            gv_render = "n/a" if gv is None else "[" + ", ".join(str(n) for n in gv) + "]"
             checks.append(Check(
                 id=f"refined/divisibility m={m} d={d}",
-                passed=ok and quotient.is_palindromic() and gv_ok,
+                passed=(quotient is not None and quotient.is_palindromic()
+                        and gv is not None and all(isinstance(n, int) for n in gv)),
                 lhs=laurent_human(rec.omega),
-                rhs=f"[{d * m}]_q * ({laurent_human(quotient) if ok else '?'}), gv={gv_render}",
+                rhs=f"[{rec.divisor}]_q * ({quotient_render}), gv={gv_render}",
                 anchor="divisibility by the quantum number and GV integrality",
             ))
     return checks
@@ -360,52 +350,55 @@ def _suite_refined(ms: list[int], d_max: int = 2) -> list[Check]:
 
 def cmd_verify(args) -> int:
     suite = args.suite
-    for flag, value in (("--m", args.m), ("--d-max", args.d_max), ("--order", args.order)):
-        if value is not None and value < 1:
-            raise WallcrossError(f"{flag} must be >= 1, got {value}")
-    if args.m is not None and args.m < 3 and suite in ("scatter", "refined", "all"):
+    given = {"--m": args.m, "--d-max": args.d_max, "--order": args.order,
+             "--fixtures": args.fixtures}
+    for flag, value in given.items():
+        if value is not None and flag not in SUITES[suite]:
+            reads = ", ".join(SUITES[suite])
+            raise WallcrossError(f"--suite {suite} does not read {flag} (it reads {reads})")
+    for flag in ("--m", "--d-max", "--order"):
+        if given[flag] is not None and given[flag] < 1:
+            raise WallcrossError(f"{flag} must be >= 1, got {given[flag]}")
+    if args.m is not None and args.m < 3:
         raise WallcrossError(
             f"--m must be >= 3 for --suite {suite}, got {args.m}; "
             "m = 1, 2 are covered by the fixed pentagon and Poincare anchors")
     ms = [args.m] if args.m is not None else [3, 4]
-    d_max = args.d_max
-    order = args.order if args.order is not None else 6
+    # a flag the user left out keeps the suite's own default
+    d_max = {} if args.d_max is None else {"d_max": args.d_max}
+    order = {} if args.order is None else {"order": args.order}
     started = time.monotonic()
-
-    def ranged(name: str, default: int) -> int:
-        # the --d-max override only applies to the suite it was aimed at
-        return d_max if (d_max is not None and suite == name) else default
 
     checks: list[Check] = []
     if suite in ("table", "all"):
         checks.extend(_suite_table(args.fixtures))
     if suite in ("chain", "all"):
-        checks.extend(_suite_chain(ranged("chain", 10)))
+        checks.extend(_suite_chain(**d_max))
     if suite in ("partition", "all"):
-        checks.extend(_suite_partition(ranged("partition", 50)))
+        checks.extend(_suite_partition(**d_max))
     if suite in ("scatter", "all"):
-        checks.extend(_suite_scatter(ms, d_max=ranged("scatter", 3), order=order))
+        checks.extend(_suite_scatter(ms, **d_max, **order))
     if suite in ("refined", "all"):
-        checks.extend(_suite_refined(ms, d_max=ranged("refined", 2)))
-    report = VerifyReport(suite=suite, checks=checks,
-                          duration=time.monotonic() - started)
+        checks.extend(_suite_refined(ms, **d_max))
+    duration = time.monotonic() - started
+    failures = sum(1 for c in checks if not c.passed)
 
     if args.out == "json":
         payload = {
-            "suite": report.suite,
-            "total": len(report.checks),
-            "failures": report.failures,
-            "checks": [vars(c) for c in report.checks],
+            "suite": suite,
+            "total": len(checks),
+            "failures": failures,
+            "checks": [vars(c) for c in checks],
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        for c in report.checks:
+        for c in checks:
             status = "PASS" if c.passed else "FAIL"
             sys.stdout.write(f"{status} {c.id}: {c.lhs} == {c.rhs}  [{c.anchor}]\n")
-        total = len(report.checks)
-        sys.stdout.write(f"suite {report.suite}: {total - report.failures}/{total} passed\n")
-    print(f"suite {report.suite} completed in {report.duration:.2f}s", file=sys.stderr)
-    return 1 if report.failures else 0
+        total = len(checks)
+        sys.stdout.write(f"suite {suite}: {total - failures}/{total} passed\n")
+    print(f"suite {suite} completed in {duration:.2f}s", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +417,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gw = sub.add_parser("gw", help="closed-form maximal-tangency and local P1 counts")
     p_gw.add_argument("--r", type=int, required=True, help="weight r >= 1 of the pair")
-    p_gw.add_argument("--d", type=int, help="single degree")
-    p_gw.add_argument("--d-max", type=int, dest="d_max", help="degrees 1..d-max (default 6)")
+    degrees = p_gw.add_mutually_exclusive_group()
+    degrees.add_argument("--d", type=int, help="single degree")
+    degrees.add_argument("--d-max", type=int, dest="d_max", help="degrees 1..d-max (default 6)")
     common(p_gw)
     p_gw.set_defaults(func=cmd_gw)
 
     p_dt = sub.add_parser("dt", help="Kronecker-quiver DT invariants (numeric or refined)")
     p_dt.add_argument("--m", type=int, required=True, help="arrow count (numeric needs m >= 3)")
-    p_dt.add_argument("--d", type=int, help="single diagonal dimension")
-    p_dt.add_argument("--d-max", type=int, dest="d_max", help="dimensions 1..d-max (default 4)")
+    degrees = p_dt.add_mutually_exclusive_group()
+    degrees.add_argument("--d", type=int, help="single diagonal dimension")
+    degrees.add_argument("--d-max", type=int, dest="d_max", help="dimensions 1..d-max (default 4)")
     p_dt.add_argument("--refined", action="store_true",
                       help="refined invariants via quantum-dilog factorization")
     common(p_dt)
@@ -448,15 +443,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gv = sub.add_parser("gv", help="genus-zero GV invariants of the local geometry")
     p_gv.add_argument("--r", type=int, required=True, help="weight r >= 1")
-    p_gv.add_argument("--d", type=int, help="single degree")
-    p_gv.add_argument("--d-max", type=int, dest="d_max", help="degrees 1..d-max (default 10)")
+    degrees = p_gv.add_mutually_exclusive_group()
+    degrees.add_argument("--d", type=int, help="single degree")
+    degrees.add_argument("--d-max", type=int, dest="d_max", help="degrees 1..d-max (default 10)")
     common(p_gv)
     p_gv.set_defaults(func=cmd_gv)
 
     p_vf = sub.add_parser("verify", help="run cross-check suites; exit 1 on any failure")
     p_vf.add_argument("--suite", choices=SUITES, default="all")
-    p_vf.add_argument("--d-max", type=int, dest="d_max", help="override the suite's degree range")
-    p_vf.add_argument("--m", type=int, help="restrict scatter/refined suites to one m >= 3")
+    p_vf.add_argument("--d-max", type=int, dest="d_max",
+                      help="override the degree range of chain, partition, scatter or refined")
+    p_vf.add_argument("--m", type=int, help="restrict the scatter/refined checks to one m >= 3")
     p_vf.add_argument("--order", type=int, help="scattering order (default 6)")
     p_vf.add_argument("--fixtures", help="path to the golden fixtures CSV "
                       "(falls back to $WALLCROSS_FIXTURES, then the packaged copy)")

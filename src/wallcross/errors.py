@@ -41,10 +41,6 @@ class TruncationMismatch(WallcrossError):
     """Operands of a quantum-torus operation have incompatible truncation."""
 
 
-class NotDivisible(WallcrossError):
-    """Exact polynomial division by a quantum integer failed."""
-
-
 class BasisResidue(WallcrossError):
     """Polynomial not expressible in the (q^(1/2)-q^(-1/2))^(2g) basis."""
 

@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .algebra import LaurentPoly, RationalFunc, log_coeffs
 from .combinat import minus_one_pow, quantum_integer
-from .errors import BasisResidue, NotDivisible, OrderOverflow, TruncationMismatch
+from .errors import BasisResidue, OrderOverflow, TruncationMismatch
 from .invariants import multicover_omega_from_bar
 
 MAX_FACTOR_ORDER = 16
@@ -57,11 +57,6 @@ class QTorusElement:
     def one(cls, pairing: int, trunc: int) -> QTorusElement:
         return cls(pairing, trunc, {(0, 0): _RF1})
 
-    @classmethod
-    def monomial(cls, pairing: int, trunc: int, v: tuple[int, int],
-                 coeff=1) -> QTorusElement:
-        return cls(pairing, trunc, {tuple(v): RationalFunc(coeff)})
-
     def coeff(self, v: tuple[int, int]) -> RationalFunc:
         return self.terms.get(tuple(v), _RF0)
 
@@ -70,17 +65,6 @@ class QTorusElement:
             raise TruncationMismatch(
                 f"incompatible elements: pairing/trunc ({self.pairing},{self.trunc}) "
                 f"vs ({other.pairing},{other.trunc})")
-
-    def __add__(self, other: QTorusElement) -> QTorusElement:
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            s = out.get(v, _RF0) + c
-            if s:
-                out[v] = s
-            else:
-                out.pop(v, None)
-        return QTorusElement(self.pairing, self.trunc, out)
 
     def __sub__(self, other: QTorusElement) -> QTorusElement:
         self._check_compatible(other)
@@ -112,27 +96,6 @@ class QTorusElement:
                 else:
                     out.pop(v, None)
         return QTorusElement(self.pairing, self.trunc, out)
-
-    def scale(self, c) -> QTorusElement:
-        rf = c if isinstance(c, RationalFunc) else RationalFunc(c)
-        return QTorusElement(self.pairing, self.trunc,
-                             {v: rf * cv for v, cv in self.terms.items()})
-
-    def inverse(self) -> QTorusElement:
-        """Inverse of an element with invertible constant term."""
-        c0 = self.coeff((0, 0))
-        if not c0:
-            raise ZeroDivisionError("element with zero constant term has no inverse")
-        # write self = c0 (1 - r) with r of positive degree, sum the geometric series
-        r = QTorusElement.one(self.pairing, self.trunc) - self.scale(_RF1 / c0)
-        acc = QTorusElement.one(self.pairing, self.trunc)
-        power = QTorusElement.one(self.pairing, self.trunc)
-        for _ in range(self.trunc):
-            power = power * r
-            if not power.terms:
-                break
-            acc = acc + power
-        return acc.scale(_RF1 / c0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QTorusElement):
@@ -177,14 +140,34 @@ def quantum_dilog(v: tuple[int, int], trunc: int, pairing: int) -> QTorusElement
 
 @dataclass(frozen=True)
 class RefinedDT:
-    """Refined DT invariant at one dimension vector, in the frozen convention."""
+    """Refined DT invariant at one dimension vector, in the frozen convention.
+
+    Carries the invariant omega, the divisor d*m of the quantum number it is
+    divided by, the exact quotient by [d*m]_q (None when the division leaves
+    a remainder), and the GV list of that quotient (None when there is no
+    quotient or it is not expressible in the GV basis).
+    """
 
     dimension_vector: tuple[int, int]
     omega: LaurentPoly
+    divisor: int
+    quotient: LaurentPoly | None
+    gv: list | None
 
     @property
     def omega_at_1(self) -> Fraction:
         return self.omega.at_one()
+
+    def to_json(self) -> dict:
+        return {
+            "dimension_vector": list(self.dimension_vector),
+            "omega": self.omega.to_json(),
+            "omega_at_1": str(self.omega_at_1),
+            "divisible_by": f"[{self.divisor}]_q",
+            "quotient_by_quantum_number":
+                None if self.quotient is None else self.quotient.to_json(),
+            "gv_list": None if self.gv is None else [str(n) for n in self.gv],
+        }
 
 
 @dataclass(frozen=True)
@@ -290,7 +273,10 @@ def ks_factorize(m: int, order: int) -> list[RefinedDT]:
 
 
 def refined_from_factorization(factorization: Factorization, dmax: int) -> list[RefinedDT]:
-    """Extract diagonal refined DT invariants from a completed factorization."""
+    """Extract diagonal refined DT invariants from a completed factorization.
+
+    Each record also holds the quotient by [d*m]_q and its GV list.
+    """
     if 2 * dmax > factorization.order:
         raise OrderOverflow(
             f"factorization order {factorization.order} cannot resolve d = {dmax}")
@@ -315,7 +301,15 @@ def refined_from_factorization(factorization: Factorization, dmax: int) -> list[
                 raise AssertionError(
                     f"extracted invariant at ({d},{d}) has non-integer coefficient "
                     f"{c} at t^{k}")
-        out.append(RefinedDT(dimension_vector=(d, d), omega=omega))
+        ok, quotient = divisibility_check(omega, d * m)
+        gv = None
+        if ok:
+            try:
+                gv = gv_from_refined(quotient)
+            except BasisResidue:
+                pass
+        out.append(RefinedDT(dimension_vector=(d, d), omega=omega, divisor=d * m,
+                             quotient=quotient, gv=gv))
     return out
 
 
@@ -333,15 +327,6 @@ def divisibility_check(omega: LaurentPoly, d_beta: int) -> tuple[bool, LaurentPo
     if quotient is None:
         return False, None
     return True, quotient
-
-
-def quotient_by_quantum_number(omega: LaurentPoly, d_beta: int) -> LaurentPoly:
-    """Divide exactly by [d_beta]_q or raise NotDivisible loudly."""
-    ok, quotient = divisibility_check(omega, d_beta)
-    if not ok:
-        raise NotDivisible(
-            f"{omega} is not divisible by [{d_beta}]_q; convention bug or genuine failure")
-    return quotient
 
 
 def gv_from_refined(quotient: LaurentPoly) -> list:
@@ -374,32 +359,4 @@ def gv_from_refined(quotient: LaurentPoly) -> list:
     for g in range(gmax + 1):
         c = coeffs.get(g, Fraction(0))
         out.append(int(c) if c.denominator == 1 else c)
-    return out
-
-
-def refined_report(m: int, dmax: int) -> list[dict]:
-    """Machine-readable refined pipeline output for diagonal dimension vectors.
-
-    One entry per d <= dmax with the invariant, its numerical limit, the
-    quotient by the quantum number [d*m]_q, and the GV list of the quotient.
-    """
-    records = ks_factorize(m, dmax)
-    out = []
-    for rec in records:
-        d = rec.dimension_vector[0]
-        ok, quotient = divisibility_check(rec.omega, d * m)
-        entry = {
-            "dimension_vector": list(rec.dimension_vector),
-            "omega": rec.omega.to_json(),
-            "omega_at_1": str(rec.omega_at_1),
-            "divisible_by": f"[{d * m}]_q",
-            "quotient_by_quantum_number": quotient.to_json() if ok else None,
-            "gv_list": None,
-        }
-        if ok:
-            try:
-                entry["gv_list"] = [str(n) for n in gv_from_refined(quotient)]
-            except BasisResidue:
-                entry["gv_list"] = None
-        out.append(entry)
     return out

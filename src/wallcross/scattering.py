@@ -18,15 +18,19 @@ the loop runs counterclockwise starting just below the positive x-axis, and
 crossing a ray of primitive direction rho sends X^p Y^q to
 X^p Y^q * f^(m * (rho /\\ (p, q))) where (a,b) /\\ (p,q) = a*q - b*p.
 
-Arithmetic: the engine runs on plain ints.  Every wall coefficient of the
-completed diagram is an integer (Gross-Pandharipande-Siebert, "The tropical
-vertex"), the crossing multipliers (1 + u)^e have binomial coefficients, and
-each correction is an exact quotient of an integer defect; the completion
-raises if that division ever leaves a remainder, so the theorem is checked
-at run time.  The public types (`Ray`, `ScatteringDiagram`) keep `Fraction`.
-Step k of the completion truncates the loop product at degree k + 1, the
-least that determines the degree-k defect; one full-order product at the
-end checks the whole diagram.
+Arithmetic: the engine runs on plain ints.  An element is a dict
+{(p, q): coeff} standing for sum coeff X^p Y^q, a wall is a dict {j: c_j},
+and the truncation degree travels as an argument.  Every wall coefficient of
+the completed diagram is an integer (Gross-Pandharipande-Siebert, "The
+tropical vertex"), the crossing multipliers (1 + u)^e have binomial
+coefficients, and each correction is an exact quotient of an integer defect;
+the completion raises if that division ever leaves a remainder, so the
+theorem is checked at run time.  The public types (`Ray`,
+`ScatteringDiagram`) keep `Fraction` and are built once, from the finished
+walls.  `complete_to_consistency(m, order)` always starts from the two lines
+1 + X and 1 + Y.  Step k of the completion truncates the loop product at
+degree k + 1, the least that determines the degree-k defect; one full-order
+product at the end checks the whole diagram.
 """
 
 from __future__ import annotations
@@ -47,28 +51,8 @@ MAX_ORDER = 64
 # Truncated polynomials in X, Y
 
 
-class _XYPoly:
-    """Polynomial in X, Y with integer coefficients, truncated beyond total degree `trunc`.
-
-    Completion only ever needs ints (see the module docstring).  A hand-built
-    ray with non-integral `Fraction` coefficients still crosses correctly,
-    because int and Fraction arithmetic mix exactly.
-    """
-
-    __slots__ = ("trunc", "c")
-
-    def __init__(self, trunc: int, c: dict[tuple[int, int], int] | None = None):
-        self.trunc = trunc
-        self.c = c if c is not None else {}
-
-    @classmethod
-    def monomial(cls, trunc: int, p: int, q: int, coeff=1) -> _XYPoly:
-        if p + q > trunc:
-            return cls(trunc)
-        return cls(trunc, {(p, q): coeff})
-
-    def terms_of_degree(self, k: int) -> list[tuple[tuple[int, int], int]]:
-        return sorted((kk, v) for kk, v in self.c.items() if kk[0] + kk[1] == k)
+def _terms_of_degree(element: dict[tuple[int, int], int], k: int) -> list:
+    return sorted((pq, v) for pq, v in element.items() if pq[0] + pq[1] == k)
 
 
 def _series_powers(u: list) -> list[list]:
@@ -169,21 +153,6 @@ class ScatteringDiagram:
         }
 
 
-def initial_diagram(m: int) -> ScatteringDiagram:
-    """Two incoming lines with functions 1 + X and 1 + Y and pairing scaled by m."""
-    if m < 1:
-        raise OrderOverflow(f"pairing determinant must be >= 1, got {m}")
-    one = Fraction(1)
-    return ScatteringDiagram(
-        pairing=m,
-        order=0,
-        rays=(
-            Ray.make((1, 0), True, {1: one}),
-            Ray.make((0, 1), True, {1: one}),
-        ),
-    )
-
-
 def _ray_sort_key(direction: tuple[int, int]):
     a, b = direction
     if a == 0:
@@ -191,28 +160,30 @@ def _ray_sort_key(direction: tuple[int, int]):
     return (0, Fraction(b, a))
 
 
-def wall_crossing_automorphism(ray: Ray, element: _XYPoly, m: int,
-                               orientation: int = 1) -> _XYPoly:
-    """Apply the crossing of `ray` to a truncated element.
+def wall_crossing_automorphism(direction: tuple[int, int], wall: Mapping[int, int],
+                               element: dict[tuple[int, int], int], trunc: int, m: int,
+                               orientation: int = 1) -> dict[tuple[int, int], int]:
+    """Apply the crossing of the wall 1 + sum_j c_j (X^a Y^b)^j to an element.
 
-    Each monomial X^p Y^q is multiplied by f^(orientation * m * (a q - b p))
-    where (a, b) is the ray direction and f its wall function; orientation
-    +1 is the counterclockwise crossing, -1 undoes it.
+    `wall` maps j to c_j and `element` maps (p, q) to the coefficient of
+    X^p Y^q; terms beyond total degree `trunc` are dropped.  Each monomial
+    X^p Y^q is multiplied by f^(orientation * m * (a q - b p)) where (a, b)
+    is the wall direction and f its function; orientation +1 is the
+    counterclockwise crossing, -1 undoes it.
     """
-    a, b = ray.direction
+    a, b = direction
     da, db = abs(a), abs(b)
-    trunc = element.trunc
     # f = 1 + u(w) is a series in the ray monomial w = X^da Y^db
     u = [0] * (trunc // (da + db) + 1)
-    for j, cj in ray.wall_powers:
+    for j, cj in wall.items():
         if j < len(u):
-            # integral wall coefficients (all of a completed diagram) enter as ints
+            # integral Fraction walls (Ray.wall_coeffs() in consistency_defect) enter as ints
             u[j] = cj.numerator if cj.denominator == 1 else cj
     upows = _series_powers(u)
     powers: dict[int, list] = {}
     out: dict[tuple[int, int], int] = {}
     get = out.get
-    for (p, q), coeff in element.c.items():
+    for (p, q), coeff in element.items():
         e = orientation * m * (a * q - b * p)
         if e == 0:
             out[(p, q)] = get((p, q), 0) + coeff
@@ -224,67 +195,51 @@ def wall_crossing_automorphism(ray: Ray, element: _XYPoly, m: int,
             if fe[j]:
                 key = (p + j * da, q + j * db)
                 out[key] = get(key, 0) + coeff * fe[j]
-    return _XYPoly(trunc, {k: v for k, v in out.items() if v})
+    return {k: v for k, v in out.items() if v}
+
+
+_INCOMING = {1: 1}  # wall of each incoming line: 1 + X, 1 + Y
 
 
 def _loop_multipliers(m: int, outgoing: dict[tuple[int, int], dict[int, int]],
-                      trunc: int) -> tuple[_XYPoly, _XYPoly]:
+                      trunc: int) -> tuple[dict, dict]:
     """Path-ordered product around the origin applied to the generators.
 
     Returns (P(X)/X, P(Y)/Y); both are 1 exactly when the diagram is
     consistent to order trunc - 1.
     """
-    one = Fraction(1)
-    crossings: list[Ray] = [Ray.make((1, 0), True, {1: one})]
-    for direction in sorted(outgoing, key=_ray_sort_key):
-        coeffs = outgoing[direction]
-        if coeffs:
-            crossings.append(Ray.make(direction, False, coeffs))
-    crossings.append(Ray.make((0, 1), True, {1: one}))
-    crossings.append(Ray.make((-1, 0), True, {1: one}))
-    crossings.append(Ray.make((0, -1), True, {1: one}))
-
-    px = _XYPoly.monomial(trunc, 1, 0)
-    py = _XYPoly.monomial(trunc, 0, 1)
-    for ray in crossings:
-        px = wall_crossing_automorphism(ray, px, m)
-        py = wall_crossing_automorphism(ray, py, m)
-    mx = _XYPoly(trunc, {(p - 1, q): v for (p, q), v in px.c.items()})
-    my = _XYPoly(trunc, {(p, q - 1): v for (p, q), v in py.c.items()})
+    crossings = [((1, 0), _INCOMING)]
+    crossings += [(d, outgoing[d]) for d in sorted(outgoing, key=_ray_sort_key) if outgoing[d]]
+    crossings += [((0, 1), _INCOMING), ((-1, 0), _INCOMING), ((0, -1), _INCOMING)]
+    px = {(1, 0): 1}
+    py = {(0, 1): 1}
+    for direction, wall in crossings:
+        px = wall_crossing_automorphism(direction, wall, px, trunc, m)
+        py = wall_crossing_automorphism(direction, wall, py, trunc, m)
+    mx = {(p - 1, q): v for (p, q), v in px.items()}
+    my = {(p, q - 1): v for (p, q), v in py.items()}
     return mx, my
 
 
-def complete_to_consistency(initial: ScatteringDiagram, order: int) -> ScatteringDiagram:
-    """Complete the two-line diagram to consistency modulo total order `order` + 1.
+def complete_to_consistency(m: int, order: int) -> ScatteringDiagram:
+    """Complete the lines 1 + X, 1 + Y with pairing m to consistency modulo order + 1.
 
     Works order by order: the discrepancy of the path-ordered loop product at
     order k is supported on first-quadrant monomials, decomposes along
     primitive directions, and is absorbed into the corresponding outgoing
     wall functions.  The output is deterministic, rays sorted by slope.
     """
+    if m < 1:
+        raise OrderOverflow(f"pairing determinant must be >= 1, got {m}")
     if order < 1 or order > MAX_ORDER:
         raise OrderOverflow(f"order must be in 1..{MAX_ORDER}, got {order}")
-    incoming = [r for r in initial.rays if r.incoming]
-    if len(incoming) != 2 or {r.direction for r in incoming} != {(1, 0), (0, 1)}:
-        raise NonPrimitiveInput(
-            "initial diagram must consist of the two incoming lines (1,0) and (0,1)")
-    for r in incoming:
-        if r.wall_coeffs() != {1: Fraction(1)}:
-            raise NonPrimitiveInput(
-                f"incoming line {r.direction} must carry the wall function 1 + s*x^rho")
-    if initial.pairing < 1:
-        raise OrderOverflow(f"pairing determinant must be >= 1, got {initial.pairing}")
-
-    m = initial.pairing
-    outgoing: dict[tuple[int, int], dict[int, int]] = {
-        r.direction: r.wall_coeffs() for r in initial.rays if not r.incoming
-    }
+    outgoing: dict[tuple[int, int], dict[int, int]] = {}
 
     for k in range(1, order + 1):
         # the degree-k defect of P(X)/X, P(Y)/Y needs P only up to degree k + 1
         mx, my = _loop_multipliers(m, outgoing, k + 1)
-        defect_x = dict(mx.terms_of_degree(k))
-        defect_y = dict(my.terms_of_degree(k))
+        defect_x = dict(_terms_of_degree(mx, k))
+        defect_y = dict(_terms_of_degree(my, k))
         monomials = sorted(set(defect_x) | set(defect_y))
         for (p, q) in monomials:
             cx = defect_x.get((p, q), 0)
@@ -311,12 +266,12 @@ def complete_to_consistency(initial: ScatteringDiagram, order: int) -> Scatterin
             if not wall[g]:
                 del wall[g]
 
-    rays = [Ray.make((1, 0), True, {1: Fraction(1)})]
+    rays = [Ray.make((1, 0), True, _INCOMING)]
     for direction in sorted(outgoing, key=_ray_sort_key):
         coeffs = outgoing[direction]
         if coeffs:
             rays.append(Ray.make(direction, False, coeffs))
-    rays.append(Ray.make((0, 1), True, {1: Fraction(1)}))
+    rays.append(Ray.make((0, 1), True, _INCOMING))
     diagram = ScatteringDiagram(pairing=m, order=order, rays=tuple(rays))
     defects = consistency_defect(diagram)
     if defects:
@@ -335,8 +290,8 @@ def consistency_defect(diagram: ScatteringDiagram) -> list[tuple[tuple[int, int]
     mx, my = _loop_multipliers(diagram.pairing, outgoing, diagram.order + 1)
     defects = []
     for k in range(1, diagram.order + 1):
-        defects.extend(mx.terms_of_degree(k))
-        defects.extend(my.terms_of_degree(k))
+        defects.extend(_terms_of_degree(mx, k))
+        defects.extend(_terms_of_degree(my, k))
     return defects
 
 

@@ -23,7 +23,7 @@ from wallcross.invariants import (
     partition_sum_lhs,
 )
 from wallcross.qtorus import divisibility_check, gv_from_refined, ks_factorize
-from wallcross.scattering import central_ray_omega, complete_to_consistency, initial_diagram
+from wallcross.scattering import central_ray_omega, complete_to_consistency
 
 GOLDEN_NODAL = [Fraction(3), Fraction(21, 4), Fraction(55, 3), Fraction(1365, 16),
                 Fraction(11628, 25), Fraction(33649, 12)]
@@ -93,11 +93,11 @@ def test_criterion_05_binomial_identity_grid():
 def test_criterion_06_scattering_oracle_equivalence():
     start = time.monotonic()
     ok = True
-    pentagon = complete_to_consistency(initial_diagram(1), 6)
+    pentagon = complete_to_consistency(1, 6)
     ok = ok and central_ray_omega(pentagon, 1) == 1
     ok = ok and all(central_ray_omega(pentagon, d) == 0 for d in (2, 3))
     for m in (3, 4):
-        diagram = complete_to_consistency(initial_diagram(m), 6)
+        diagram = complete_to_consistency(m, 6)
         for d in (1, 2, 3):
             ok = ok and central_ray_omega(diagram, d) == dt_kronecker_numeric(m, d)
     elapsed = time.monotonic() - start

@@ -1,9 +1,12 @@
 """Command-line surface: formats, exit codes, determinism, fixtures plumbing."""
 
 import json
+from pathlib import Path
 
 from wallcross.cli import laurent_human, main
 from wallcross.combinat import quantum_integer
+
+GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
 
 
 def run(capsys, *argv):
@@ -85,6 +88,16 @@ def test_dt_refined_json_report(capsys):
     assert payload[0]["omega_at_1"] == "3"
     assert payload[1]["omega_at_1"] == "-6"
     assert payload[1]["gv_list"] == ["-1"]
+    golden = json.loads((GOLDENS / "refined_m3_dmax4.json").read_text())
+    assert out == json.dumps(golden[:2], indent=2) + "\n"
+
+
+def test_d_and_d_max_are_mutually_exclusive(capsys):
+    for command in (["gw", "--r", "1"], ["dt", "--m", "3"], ["gv", "--r", "1"]):
+        code, out, err = run(capsys, *command, "--d", "2", "--d-max", "5")
+        assert code == 2, command
+        assert out == "", command
+        assert "not allowed with argument" in err, command
 
 
 def test_dt_d_max_zero_is_config_error(capsys):
@@ -208,6 +221,18 @@ def test_verify_m_below_three_is_config_error(capsys):
         assert out == "", suite
         assert f"--m must be >= 3 for --suite {suite}, got {m}" in err
         assert "anchors" in err
+
+
+def test_verify_rejects_flags_the_suite_does_not_read(capsys, tmp_path):
+    for argv, flag in ((["--suite", "all", "--d-max", "2"], "--d-max"),
+                       (["--suite", "table", "--m", "2", "--order", "99"], "--m"),
+                       (["--suite", "refined", "--order", "50"], "--order"),
+                       (["--suite", "chain", "--fixtures", str(tmp_path / "nope.csv")],
+                        "--fixtures")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert f"--suite {argv[1]} does not read {flag}" in err, argv
 
 
 def test_verify_missing_fixtures_is_config_error(capsys, tmp_path):

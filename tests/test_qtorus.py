@@ -7,7 +7,7 @@ import pytest
 
 from wallcross.algebra import LaurentPoly, RationalFunc, log_coeffs
 from wallcross.combinat import quantum_integer
-from wallcross.errors import BasisResidue, NotDivisible, OrderOverflow, TruncationMismatch
+from wallcross.errors import BasisResidue, OrderOverflow, TruncationMismatch
 from wallcross.invariants import dt_kronecker_numeric
 from wallcross.qtorus import (
     QTorusElement,
@@ -17,8 +17,6 @@ from wallcross.qtorus import (
     ks_factorization,
     ks_factorize,
     quantum_dilog,
-    quotient_by_quantum_number,
-    refined_report,
 )
 
 
@@ -32,8 +30,8 @@ def tpow(k: int) -> RationalFunc:
 
 def test_commutation_twist_on_generators():
     for m in (1, 2, 3):
-        x = QTorusElement.monomial(m, 4, (1, 0))
-        y = QTorusElement.monomial(m, 4, (0, 1))
+        x = QTorusElement(m, 4, {(1, 0): 1})
+        y = QTorusElement(m, 4, {(0, 1): 1})
         assert (x * y).coeff((1, 1)) == tpow(-m)
         assert (y * x).coeff((1, 1)) == tpow(m)
 
@@ -84,12 +82,6 @@ def test_dilog_first_coefficients():
     assert dilog_coefficient(2) == RationalFunc(
         LaurentPoly.t_power(4),
         LaurentPoly({2: 1, 0: -1}) * LaurentPoly({4: 1, 0: -1}))
-
-
-def test_dilog_inverse():
-    for v in ((1, 0), (0, 1), (1, 1)):
-        e = quantum_dilog(v, 6, 3)
-        assert e * e.inverse() == QTorusElement.one(3, 6)
 
 
 def test_dilog_log_is_multicover_kernel():
@@ -214,8 +206,6 @@ def test_negative_control_support():
 def test_not_divisible_case():
     ok, quotient = divisibility_check(quantum_integer(5), 3)
     assert not ok and quotient is None
-    with pytest.raises(NotDivisible):
-        quotient_by_quantum_number(quantum_integer(5), 3)
 
 
 def test_gv_from_refined_examples():
@@ -246,7 +236,7 @@ def test_gv_from_refined_rejects_residue():
 
 
 def test_refined_report_shape():
-    report = refined_report(3, 2)
+    report = [rec.to_json() for rec in ks_factorize(3, 2)]
     assert [e["dimension_vector"] for e in report] == [[1, 1], [2, 2]]
     first = report[0]
     assert first["omega"] == {"-2": "1", "0": "1", "2": "1"}

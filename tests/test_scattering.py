@@ -18,18 +18,16 @@ from wallcross.invariants import dt_kronecker_numeric
 from wallcross.scattering import (
     Ray,
     ScatteringDiagram,
-    _XYPoly,
     central_log_closed_form,
     central_ray_omega,
     complete_to_consistency,
     consistency_defect,
-    initial_diagram,
     wall_crossing_automorphism,
 )
 
 
 def completed(m: int, order: int) -> ScatteringDiagram:
-    return complete_to_consistency(initial_diagram(m), order)
+    return complete_to_consistency(m, order)
 
 
 # ---------------------------------------------------------------------------
@@ -38,40 +36,37 @@ def completed(m: int, order: int) -> ScatteringDiagram:
 
 def test_crossing_of_transverse_generator():
     # f = 1 + X on the horizontal line sends Y to Y * (1 + X)^(+-m)
-    ray = Ray.make((1, 0), True, {1: Fraction(1)})
-    y = _XYPoly.monomial(4, 0, 1)
     for m in (1, 3):
-        out = wall_crossing_automorphism(ray, y, m)
-        assert out.c[(0, 1)] == 1
-        assert out.c[(1, 1)] == m  # first binomial term of (1 + X)^m
+        out = wall_crossing_automorphism((1, 0), {1: 1}, {(0, 1): 1}, 4, m)
+        assert out[(0, 1)] == 1
+        assert out[(1, 1)] == m  # first binomial term of (1 + X)^m
 
 
 def test_crossing_fixes_tangent_monomial():
-    ray = Ray.make((1, 0), True, {1: Fraction(1)})
-    x = _XYPoly.monomial(4, 1, 0)
-    assert wall_crossing_automorphism(ray, x, 3).c == {(1, 0): Fraction(1)}
+    assert wall_crossing_automorphism((1, 0), {1: 1}, {(1, 0): 1}, 4, 3) == {(1, 0): 1}
 
 
 def test_crossing_and_reverse_crossing_compose_to_identity():
     rng = random.Random(83)
-    ray = Ray.make((1, 2), False, {1: Fraction(3, 2), 2: Fraction(-1, 3)})
+    wall = {1: Fraction(3, 2), 2: Fraction(-1, 3)}
     for _ in range(20):
-        elem = _XYPoly(6, {(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.choice([-3, -1, 1, 2, 5]))
-                           for _ in range(4)})
-        elem.c.pop((0, 0), None)
-        there = wall_crossing_automorphism(ray, elem, 2, orientation=1)
-        back = wall_crossing_automorphism(ray, there, 2, orientation=-1)
-        assert back.c == elem.c
+        elem = {(rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.choice([-3, -1, 1, 2, 5]))
+                for _ in range(4)}
+        elem.pop((0, 0), None)
+        there = wall_crossing_automorphism((1, 2), wall, elem, 6, 2, orientation=1)
+        back = wall_crossing_automorphism((1, 2), wall, there, 6, 2, orientation=-1)
+        assert back == elem
 
 
 def test_crossing_of_integral_ray_stays_in_int():
-    # the completion engine runs on ints; an integral wall must not bring Fractions in
-    ray = Ray.make((1, 2), False, {1: Fraction(3), 2: Fraction(-5)})
-    elem = _XYPoly(8, {(1, 0): 2, (0, 1): -1, (2, 1): 7})
+    # the completion engine runs on ints; an integral wall must not bring Fractions in,
+    # even when its coefficients arrive as Fractions (as Ray.wall_coeffs() gives them)
+    wall = {1: Fraction(3), 2: Fraction(-5)}
+    elem = {(1, 0): 2, (0, 1): -1, (2, 1): 7}
     for orientation in (1, -1):
-        out = wall_crossing_automorphism(ray, elem, 3, orientation)
-        assert len(out.c) > len(elem.c)
-        assert all(type(v) is int for v in out.c.values())
+        out = wall_crossing_automorphism((1, 2), wall, elem, 8, 3, orientation)
+        assert len(out) > len(elem)
+        assert all(type(v) is int for v in out.values())
 
 
 def test_ray_requires_primitive_direction():
@@ -107,7 +102,7 @@ def test_consistency_defect_empty_for_completed_diagrams():
 
 
 def test_consistency_defect_finds_a_perturbed_wall():
-    diagram = complete_to_consistency(initial_diagram(3), 8)
+    diagram = complete_to_consistency(3, 8)
     rays = []
     for ray in diagram.rays:
         if ray.direction == (1, 2):
@@ -136,21 +131,11 @@ def test_completion_deterministic():
 
 def test_completion_rejects_bad_initial_data():
     with pytest.raises(OrderOverflow):
-        complete_to_consistency(initial_diagram(3), 0)
+        complete_to_consistency(3, 0)
     with pytest.raises(OrderOverflow):
-        complete_to_consistency(initial_diagram(3), 10**6)
-    bad = ScatteringDiagram(pairing=2, order=0, rays=(
-        Ray.make((1, 0), True, {1: Fraction(1)}),
-        Ray.make((1, 1), True, {1: Fraction(1)}),
-    ))
-    with pytest.raises(NonPrimitiveInput):
-        complete_to_consistency(bad, 3)
-    skewed = ScatteringDiagram(pairing=2, order=0, rays=(
-        Ray.make((1, 0), True, {1: Fraction(2)}),
-        Ray.make((0, 1), True, {1: Fraction(1)}),
-    ))
-    with pytest.raises(NonPrimitiveInput):
-        complete_to_consistency(skewed, 3)
+        complete_to_consistency(3, 10**6)
+    with pytest.raises(OrderOverflow):
+        complete_to_consistency(0, 3)
 
 
 # ---------------------------------------------------------------------------
