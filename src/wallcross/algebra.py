@@ -7,7 +7,11 @@ layers build on each other:
 * ``LaurentPoly`` -- Laurent polynomials in a variable ``t``, where ``t``
   stands for ``q^(1/2)``.  Refined BPS/DT invariants live here.
 * ``RationalFunc`` -- reduced quotients of Laurent polynomials, the home of
-  multi-cover packagings with poles at roots of unity.
+  multi-cover packagings with poles at roots of unity.  Reduction and
+  ``LaurentPoly.exact_div`` clear denominators and run on integer lists: by
+  Gauss's lemma the gcd over Q[t] is the primitive gcd over Z[t], computed
+  by a primitive pseudo-remainder sequence, so only the results are built
+  as ``Fraction``.
 * ``GradedSeries`` -- formal series in a grading variable ``z`` truncated at
   a degree cutoff, with ``RationalFunc`` coefficients; generating functions
   and the plethystic calculus operate on these.
@@ -25,6 +29,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import BadConstantTerm, ZeroDenominator
@@ -32,7 +37,6 @@ from .errors import BadConstantTerm, ZeroDenominator
 Scalar = Union[int, Fraction]
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def rational_to_str(x: Scalar) -> str:
@@ -234,12 +238,13 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return LaurentPoly()
-        lo_a, da = _dense(self._c)
-        lo_b, db = _dense(divisor._c)
-        q, r = _dense_divmod(da, db)
-        if any(r):
+        lo_a, a, den_a = _int_dense(self._c)
+        lo_b, b, den_b = _int_dense(divisor._c)
+        content = gcd(*b)
+        q = _zdiv(a, b if content == 1 else [x // content for x in b])
+        if q is None:
             return None
-        return _from_dense(q, lo_a - lo_b)
+        return _from_ints(q, lo_a - lo_b, den_b, den_a * content)
 
     # -- serialisation -----------------------------------------------------
 
@@ -291,55 +296,90 @@ def _as_laurent(x) -> LaurentPoly:
     return NotImplemented
 
 
-# Dense helpers for ordinary-polynomial division and gcd.  A Laurent
-# polynomial t^lo * sum(c[i] t^i) is handled as (lo, [c0..cn]) with c0 != 0.
+# Integer core for exact division and gcd.  A Laurent polynomial is handled
+# as t^lo * (c0 + c1 t + ... + cn t^n) / den with integer c, c0 != 0 != cn
+# and den > 0.  By Gauss's lemma a gcd over Q[t] is a rational multiple of
+# the primitive gcd over Z[t] of the cleared polynomials, and a primitive
+# polynomial that divides over Q also divides over Z, so neither operation
+# needs a Fraction until the result is built.
 
 
-def _dense(c: Mapping[int, Fraction]) -> tuple[int, list[Fraction]]:
+def _int_dense(c: Mapping[int, Fraction]) -> tuple[int, list[int], int]:
     lo, hi = min(c), max(c)
-    return lo, [c.get(k, _F0) for k in range(lo, hi + 1)]
+    den = lcm(*[v.denominator for v in c.values()])
+    ints = [0] * (hi - lo + 1)
+    for k, v in c.items():
+        ints[k - lo] = v.numerator * (den // v.denominator)
+    return lo, ints, den
 
 
-def _from_dense(coeffs: list[Fraction], shift: int) -> LaurentPoly:
-    return LaurentPoly({shift + i: v for i, v in enumerate(coeffs) if v})
+def _from_ints(ints: list[int], shift: int, num: int, den: int) -> LaurentPoly:
+    """t^shift * (num/den) * sum(ints[i] t^i), built without re-validation."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._c = {shift + i: Fraction(num * x, den) for i, x in enumerate(ints) if x}
+    return out
 
 
-def _dense_trim(a: list[Fraction]) -> list[Fraction]:
-    n = len(a)
-    while n and not a[n - 1]:
-        n -= 1
-    return a[:n]
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, with a positive leading coefficient."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [x // g for x in a]
 
 
-def _dense_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = a[:]
-    b = _dense_trim(b[:])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """k * (a mod b) for some nonzero integer k, trimmed; needs len(a) >= len(b)."""
+    r = a[:]
     db = len(b) - 1
     lead = b[-1]
-    q = [_F0] * max(0, len(a) - db)
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            g = gcd(c, lead)
+            f, c = lead // g, c // g
+            if f != 1:
+                r = [x * f for x in r]
+            s = len(r) - db
+            for j in range(db):
+                r[s + j] -= c * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd over Z[t] of two nonzero polynomials (primitive PRS)."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _zdiv(a: list[int], b: list[int]) -> list[int] | None:
+    """Exact quotient a/b over Z[t] for a primitive b, or None if b does not divide a."""
+    r = a[:]
+    db = len(b) - 1
+    lead = b[-1]
+    q = [0] * max(0, len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
-        if not a[i]:
-            continue
-        f = a[i] / lead
-        q[i - db] = f
-        for j, bj in enumerate(b):
-            a[i - db + j] -= f * bj
-    return _dense_trim(q), _dense_trim(a)
-
-
-def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _dense_trim(a[:]), _dense_trim(b[:])
-    while b:
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-        # keep coefficients small by renormalising to a monic remainder
-        if b:
-            lead = b[-1]
-            b = [c / lead for c in b]
-    lead = a[-1]
-    return [c / lead for c in a]
+        c = r[i]
+        if c:
+            f, m = divmod(c, lead)
+            if m:
+                return None
+            s = i - db
+            q[s] = f
+            for j in range(db):
+                r[s + j] -= f * b[j]
+    if any(r[:db]):
+        return None
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +392,9 @@ class RationalFunc:
     The canonical form makes equality structural: the polynomial gcd of the
     pair is removed, the denominator is shifted so its lowest exponent is 0,
     and the denominator is made monic.  ``0/0`` is never constructed; a zero
-    denominator is rejected eagerly.
+    denominator is rejected eagerly.  The gcd is found and divided out on
+    the denominator-cleared integer polynomials (Gauss's lemma), and the
+    ``Fraction`` coefficients of the canonical form are built once at the end.
     """
 
     __slots__ = ("_num", "_den")
@@ -538,17 +580,15 @@ def _as_rf(x) -> RationalFunc:
 def _rf_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     if num.is_zero:
         return LaurentPoly(), LaurentPoly.one()
-    lo_n, dn = _dense(num._c)
-    lo_d, dd = _dense(den._c)
-    g = _dense_gcd(dn, dd)
-    if len(g) > 1:
-        dn, _ = _dense_divmod(dn, g)
-        dd, _ = _dense_divmod(dd, g)
-    lead = dd[-1]
-    if lead != 1:
-        dn = [c / lead for c in dn]
-        dd = [c / lead for c in dd]
-    return _from_dense(dn, lo_n - lo_d), _from_dense(dd, 0)
+    lo_n, n, den_n = _int_dense(num._c)
+    lo_d, d, den_d = _int_dense(den._c)
+    if len(n) > 1 and len(d) > 1:
+        g = _zgcd(n, d)
+        if len(g) > 1:
+            n, d = _zdiv(n, g), _zdiv(d, g)
+    # num/den = t^(lo_n - lo_d) * (den_d * n) / (den_n * d); make d monic
+    lead = d[-1]
+    return _from_ints(n, lo_n - lo_d, den_d, den_n * lead), _from_ints(d, 0, 1, lead)
 
 
 # ---------------------------------------------------------------------------

@@ -281,10 +281,17 @@ def _suite_partition(d_max: int = 50) -> list[Check]:
     return checks
 
 
-def _suite_scatter(ms: list[int], d_max: int = 3, order: int = 6) -> list[Check]:
+def _suite_scatter(ms: list[int], d_max: int = 3, order: int | None = None) -> list[Check]:
+    # resolving (d, d) takes order 2d; without --order use the least that reaches d_max
+    if order is None:
+        order = max(6, 2 * d_max)
+    elif order < 2 * d_max:
+        raise WallcrossError(
+            f"--order {order} cannot resolve (d, d) for d up to {d_max}; "
+            f"it needs --order >= {2 * d_max}")
     checks = []
     pentagon = scattering.complete_to_consistency(1, order)
-    for d in range(1, min(d_max, order // 2) + 1):
+    for d in range(1, d_max + 1):
         value = scattering.central_ray_omega(pentagon, d)
         expected = Fraction(1) if d == 1 else Fraction(0)
         checks.append(Check(
@@ -296,7 +303,7 @@ def _suite_scatter(ms: list[int], d_max: int = 3, order: int = 6) -> list[Check]
         ))
     for m in ms:
         diagram = scattering.complete_to_consistency(m, order)
-        for d in range(1, min(d_max, order // 2) + 1):
+        for d in range(1, d_max + 1):
             lhs = scattering.central_ray_omega(diagram, d)
             rhs = invariants.dt_kronecker_numeric(m, d)
             checks.append(Check(
@@ -454,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--d-max", type=int, dest="d_max",
                       help="override the degree range of chain, partition, scatter or refined")
     p_vf.add_argument("--m", type=int, help="restrict the scatter/refined checks to one m >= 3")
-    p_vf.add_argument("--order", type=int, help="scattering order (default 6)")
+    p_vf.add_argument("--order", type=int,
+                      help="scattering order, at least 2*d-max (default max(6, 2*d-max))")
     p_vf.add_argument("--fixtures", help="path to the golden fixtures CSV "
                       "(falls back to $WALLCROSS_FIXTURES, then the packaged copy)")
     common(p_vf)

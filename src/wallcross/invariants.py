@@ -14,11 +14,13 @@ import csv
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Mapping, Sequence
 
 from .algebra import LaurentPoly, RationalFunc
-from .combinat import binomial, divisor_inversion, divisor_sum, divisors, minus_one_pow, moebius
+from .combinat import (binomial, divisor_inversion, divisor_sum, divisors, minus_one_pow, moebius,
+                       quantum_integer)
 from .errors import DomainError, FixturesMissing, IndexGap
 
 FIXTURES_ENV = "WALLCROSS_FIXTURES"
@@ -162,10 +164,15 @@ def _by_degree(values: Sequence | Mapping[int, object], what: str) -> list:
     return list(values)
 
 
+@cache
+def _cover_kernel(l: int) -> RationalFunc:
+    """(1/l) (t - t^-1)/(t^l - t^-l) = 1/(l [l]_q), built once per l."""
+    return RationalFunc(1, quantum_integer(l) * l)
+
+
 def _cover_term(l: int, omega: RationalFunc) -> RationalFunc:
     """The l-fold cover term (1/l) (t - t^-1)/(t^l - t^-l) * omega(t^l) on the t-grid."""
-    return RationalFunc(LaurentPoly({1: 1, -1: -1}),
-                        LaurentPoly({l: l, -l: -l})) * omega.substitute_power(l)
+    return _cover_kernel(l) * omega.substitute_power(l)
 
 
 def multicover_bar_from_omega(omega) -> list[RationalFunc]:

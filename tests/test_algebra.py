@@ -225,6 +225,121 @@ def test_rf_field_axioms_random():
     assert x ** -2 == 1 / (x * x)
 
 
+# Fraction oracle: the Euclidean gcd over Q[t] with a monic renormalisation
+# at every step, which the library ran before its integer core.  A Laurent
+# polynomial t^lo * sum(c[i] t^i) is handled as (lo, [c0..cn]) with c0 != 0.
+
+
+def oracle_dense(c: dict) -> tuple[int, list]:
+    lo, hi = min(c), max(c)
+    return lo, [c.get(k, Fraction(0)) for k in range(lo, hi + 1)]
+
+
+def oracle_trim(a: list) -> list:
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return a[:n]
+
+
+def oracle_divmod(a: list, b: list) -> tuple[list, list]:
+    a = a[:]
+    b = oracle_trim(b[:])
+    db = len(b) - 1
+    lead = b[-1]
+    q = [Fraction(0)] * max(0, len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        if not a[i]:
+            continue
+        f = a[i] / lead
+        q[i - db] = f
+        for j, bj in enumerate(b):
+            a[i - db + j] -= f * bj
+    return oracle_trim(q), oracle_trim(a)
+
+
+def oracle_gcd(a: list, b: list) -> list:
+    a, b = oracle_trim(a[:]), oracle_trim(b[:])
+    while b:
+        _, r = oracle_divmod(a, b)
+        a, b = b, r
+        if b:
+            lead = b[-1]
+            b = [c / lead for c in b]
+    lead = a[-1]
+    return [c / lead for c in a]
+
+
+def oracle_canonical(num: dict, den: dict) -> tuple[dict, dict]:
+    """(num, den) exponent maps with the gcd removed and den monic from t^0."""
+    lo_n, dn = oracle_dense(num)
+    lo_d, dd = oracle_dense(den)
+    g = oracle_gcd(dn, dd)
+    if len(g) > 1:
+        dn, _ = oracle_divmod(dn, g)
+        dd, _ = oracle_divmod(dd, g)
+    lead = dd[-1]
+    return ({lo_n - lo_d + i: c / lead for i, c in enumerate(dn) if c},
+            {i: c / lead for i, c in enumerate(dd) if c})
+
+
+def oracle_exact_div(num: dict, den: dict) -> dict | None:
+    lo_n, dn = oracle_dense(num)
+    lo_d, dd = oracle_dense(den)
+    q, r = oracle_divmod(dn, dd)
+    if r:
+        return None
+    return {lo_n - lo_d + i: c for i, c in enumerate(q) if c}
+
+
+# cyclotomic polynomials, and non-palindromic factors, to plant as common factors
+CYCLOTOMIC = [LaurentPoly(c) for c in ({0: -1, 1: 1}, {0: 1, 1: 1}, {0: 1, 1: 1, 2: 1},
+                                       {0: 1, 2: 1}, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1},
+                                       {0: 1, 1: -1, 2: 1})]
+SKEW = [LaurentPoly(c) for c in ({0: 2, 1: 3}, {0: -5, 2: 1, 3: 7}, {-1: 1, 0: -4, 2: 9})]
+
+
+def oracle_pair(rng: random.Random) -> tuple[LaurentPoly, LaurentPoly]:
+    """A random pair with rational, non-monic and signed coefficients and a planted factor."""
+    def poly(span: int) -> LaurentPoly:
+        c = {k: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
+             for k in range(rng.randint(-2, 1), span) if rng.random() < 0.7}
+        return LaurentPoly(c or {0: Fraction(-7, 12)})
+
+    a, b = poly(rng.randint(1, 4)), poly(rng.randint(1, 4))
+    kind = rng.randrange(4)
+    if kind == 0:
+        common = rng.choice(CYCLOTOMIC).substitute_power(2)
+    elif kind == 1:
+        common = rng.choice(SKEW) * rng.choice(CYCLOTOMIC)
+    elif kind == 2:
+        common = LaurentPoly.t_power(rng.randint(-3, 3)) * rng.choice(SKEW)
+    else:
+        common = LaurentPoly.one()
+    if rng.random() < 0.3:
+        a = a * 2**60
+    if rng.random() < 0.3:
+        b = b * -(2**60)
+    return a * common, b * common
+
+
+def test_integer_core_against_fraction_oracle():
+    rng = random.Random(97)
+    divisible = 0
+    for _ in range(150):
+        a, b = oracle_pair(rng)
+        r = RationalFunc(a, b)
+        assert (as_map(r.num), as_map(r.den)) == oracle_canonical(as_map(a), as_map(b))
+        for x, y in ((a, b), (b, a), (a * b, b), (a * b + LaurentPoly.t_power(5), a)):
+            quotient = x.exact_div(y)
+            expected = oracle_exact_div(as_map(x), as_map(y))
+            assert (quotient is None) == (expected is None)
+            if quotient is not None:
+                divisible += 1
+                assert as_map(quotient) == expected
+    assert divisible >= 150
+
+
 def test_constants_hash_like_the_scalars_they_equal():
     assert len({LaurentPoly({0: 1}), 1}) == 1
     assert len({LaurentPoly(), 0, RationalFunc(0)}) == 1

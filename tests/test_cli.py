@@ -223,6 +223,21 @@ def test_verify_m_below_three_is_config_error(capsys):
         assert "anchors" in err
 
 
+def test_verify_scatter_checks_every_degree_up_to_d_max(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "scatter", "--d-max", "5")
+    assert code == 0
+    assert out.splitlines()[-1] == "suite scatter: 15/15 passed"
+    for m in (3, 4):
+        assert f"PASS scatter/central m={m} d=5:" in out
+
+
+def test_verify_order_below_twice_d_max_is_config_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "scatter", "--d-max", "5", "--order", "8")
+    assert code == 2
+    assert out == ""
+    assert "--order 8" in err and "up to 5" in err and "--order >= 10" in err
+
+
 def test_verify_rejects_flags_the_suite_does_not_read(capsys, tmp_path):
     for argv, flag in ((["--suite", "all", "--d-max", "2"], "--d-max"),
                        (["--suite", "table", "--m", "2", "--order", "99"], "--m"),

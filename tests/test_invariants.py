@@ -9,6 +9,7 @@ from typing import Iterator
 
 import pytest
 
+from wallcross import invariants
 from wallcross.algebra import LaurentPoly, RationalFunc
 from wallcross.combinat import binomial, divisors
 from wallcross.errors import DomainError, FixturesMissing, IndexGap
@@ -171,6 +172,11 @@ def test_prefactor_series_inverts_sinh():
 
 def kernel(l: int) -> RationalFunc:
     return RationalFunc(LaurentPoly({1: 1, -1: -1}), LaurentPoly({l: l, -l: -l}))
+
+
+def test_cover_kernel_equals_the_two_polynomial_quotient():
+    for l in range(1, 21):
+        assert invariants._cover_kernel(l) == kernel(l), l
 
 
 def test_multicover_single_class_tower():
