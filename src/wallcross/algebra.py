@@ -13,8 +13,9 @@ layers build on each other:
   by a primitive pseudo-remainder sequence, so only the results are built
   as ``Fraction``.
 * ``GradedSeries`` -- formal series in a grading variable ``z`` truncated at
-  a degree cutoff, with ``RationalFunc`` coefficients; generating functions
-  and the plethystic calculus operate on these.
+  a degree cutoff, with ``RationalFunc`` coefficients: the typed container
+  that ``series_exp``, ``series_log`` and the plethystic calculus take and
+  return.  It has no arithmetic of its own.
 
 Series logarithms and exponentials have a single core, :func:`log_coeffs`
 and :func:`exp_coeffs`: O(n^2) triangular recurrences on plain lists of
@@ -76,9 +77,11 @@ class LaurentPoly:
         c: dict[int, Fraction] = {}
         if coeffs:
             for k, v in coeffs.items():
+                if not isinstance(k, int):
+                    raise TypeError(f"exponent must be an int, got {type(k).__name__}")
                 v = _as_fraction(v)
                 if v:
-                    c[int(k)] = v
+                    c[k] = v
         self._c = c
 
     # -- constructors ------------------------------------------------------
@@ -598,9 +601,10 @@ def _rf_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laurent
 class GradedSeries:
     """Formal series in z, truncated beyond degree ``cutoff``.
 
-    Coefficients are RationalFunc values keyed by degree 0..cutoff.  A
-    binary operation on series with different cutoffs truncates to the
-    smaller one, since only those terms are known for both operands.
+    A typed, validated container: coefficients are RationalFunc values keyed
+    by integer degree 0..cutoff, with zero coefficients never kept.  The
+    arithmetic lives elsewhere, in :func:`series_exp`, :func:`series_log`
+    and the plethystic pair of ``combinat``, which work on coefficient lists.
     """
 
     __slots__ = ("_cutoff", "_coeffs")
@@ -612,7 +616,8 @@ class GradedSeries:
         c: dict[int, RationalFunc] = {}
         if coeffs:
             for d, v in coeffs.items():
-                d = int(d)
+                if not isinstance(d, int):
+                    raise TypeError(f"degree must be an int, got {type(d).__name__}")
                 if d < 0 or d > cutoff:
                     raise ValueError(f"degree {d} outside 0..{cutoff}")
                 rf = _as_rf(v)
@@ -637,78 +642,6 @@ class GradedSeries:
     def coeff(self, d: int) -> RationalFunc:
         return self._coeffs.get(d, RationalFunc.zero())
 
-    def __add__(self, other) -> GradedSeries:
-        other = _as_series(other, self._cutoff)
-        if other is NotImplemented:
-            return NotImplemented
-        n = min(self._cutoff, other._cutoff)
-        out: dict[int, RationalFunc] = {}
-        for d in range(n + 1):
-            v = self.coeff(d) + other.coeff(d)
-            if v:
-                out[d] = v
-        return GradedSeries(n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> GradedSeries:
-        return GradedSeries(self._cutoff, {d: -v for d, v in self._coeffs.items()})
-
-    def __sub__(self, other) -> GradedSeries:
-        other = _as_series(other, self._cutoff)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> GradedSeries:
-        other = _as_series(other, self._cutoff)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> GradedSeries:
-        if isinstance(other, (int, Fraction, LaurentPoly, RationalFunc)):
-            rf = _as_rf(other)
-            return GradedSeries(self._cutoff,
-                                {d: v * rf for d, v in self._coeffs.items()})
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        n = min(self._cutoff, other._cutoff)
-        out: dict[int, RationalFunc] = {}
-        for da, va in self._coeffs.items():
-            if da > n:
-                continue
-            for db, vb in other._coeffs.items():
-                d = da + db
-                if d > n:
-                    continue
-                s = out.get(d, RationalFunc.zero()) + va * vb
-                if s:
-                    out[d] = s
-                else:
-                    out.pop(d, None)
-        return GradedSeries(n, out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> GradedSeries:
-        if isinstance(other, (int, Fraction, LaurentPoly, RationalFunc)):
-            rf = _as_rf(other)
-            return self * (RationalFunc.one() / rf)
-        return NotImplemented
-
-    def adams(self, k: int) -> GradedSeries:
-        """Substitute t -> t^k inside every coefficient and z -> z^k.
-
-        Terms pushed beyond the cutoff are dropped; this is the substitution
-        underlying the plethystic calculus.
-        """
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("substitution power must be a positive integer")
-        out = {d * k: v.substitute_power(k)
-               for d, v in self._coeffs.items() if d * k <= self._cutoff}
-        return GradedSeries(self._cutoff, out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSeries):
             return NotImplemented
@@ -731,14 +664,6 @@ class GradedSeries:
 
     def __repr__(self) -> str:
         return f"GradedSeries({self._cutoff}, {{{', '.join(f'{d}: {v!r}' for d, v in sorted(self._coeffs.items()))}}})"
-
-
-def _as_series(x, cutoff: int) -> GradedSeries:
-    if isinstance(x, GradedSeries):
-        return x
-    if isinstance(x, (int, Fraction, LaurentPoly, RationalFunc)):
-        return GradedSeries(cutoff, {0: x})
-    return NotImplemented
 
 
 def log_coeffs(f: Sequence, zero) -> list:

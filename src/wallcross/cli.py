@@ -418,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact curve-count, quiver-DT, and wall-crossing cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", choices=("human", "json", "csv"), default="human",
+    def common(p, *formats):
+        p.add_argument("--out", choices=formats, default="human",
                        help="output format (default: human)")
 
     p_gw = sub.add_parser("gw", help="closed-form maximal-tangency and local P1 counts")
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     degrees = p_gw.add_mutually_exclusive_group()
     degrees.add_argument("--d", type=int, help="single degree")
     degrees.add_argument("--d-max", type=int, dest="d_max", help="degrees 1..d-max (default 6)")
-    common(p_gw)
+    common(p_gw, "human", "json", "csv")
     p_gw.set_defaults(func=cmd_gw)
 
     p_dt = sub.add_parser("dt", help="Kronecker-quiver DT invariants (numeric or refined)")
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     degrees.add_argument("--d-max", type=int, dest="d_max", help="dimensions 1..d-max (default 4)")
     p_dt.add_argument("--refined", action="store_true",
                       help="refined invariants via quantum-dilog factorization")
-    common(p_dt)
+    common(p_dt, "human", "json", "csv")
     p_dt.set_defaults(func=cmd_dt)
 
     p_sc = sub.add_parser("scatter", help="complete a two-line diagram and dump or extract")
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--order", type=int, required=True, help="consistency order")
     p_sc.add_argument("--extract-omega", type=int, dest="extract_omega",
                       help="extract the numerical DT invariant at (d, d)")
-    common(p_sc)
+    common(p_sc, "human", "json")
     p_sc.set_defaults(func=cmd_scatter)
 
     p_gv = sub.add_parser("gv", help="genus-zero GV invariants of the local geometry")
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     degrees = p_gv.add_mutually_exclusive_group()
     degrees.add_argument("--d", type=int, help="single degree")
     degrees.add_argument("--d-max", type=int, dest="d_max", help="degrees 1..d-max (default 10)")
-    common(p_gv)
+    common(p_gv, "human", "json", "csv")
     p_gv.set_defaults(func=cmd_gv)
 
     p_vf = sub.add_parser("verify", help="run cross-check suites; exit 1 on any failure")
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="scattering order, at least 2*d-max (default max(6, 2*d-max))")
     p_vf.add_argument("--fixtures", help="path to the golden fixtures CSV "
                       "(falls back to $WALLCROSS_FIXTURES, then the packaged copy)")
-    common(p_vf)
+    common(p_vf, "human", "json")
     p_vf.set_defaults(func=cmd_verify)
 
     return parser

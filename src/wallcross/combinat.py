@@ -2,7 +2,9 @@
 
 The Moebius function, binomials, the sign (-1)^n, divisor sums and their
 inversion, quantum integers, and the plethystic Exp/Log pair acting on
-truncated graded series.
+truncated graded series.  Every multi-cover-type sum runs through the one
+pair :func:`divisor_sum` / :func:`divisor_inversion` with its own term; the
+plethystic pair uses the Adams term f(t^k)/k.
 """
 
 from __future__ import annotations
@@ -101,34 +103,38 @@ def quantum_integer(m: int) -> LaurentPoly:
     return LaurentPoly({k: 1 for k in range(-(m - 1), m, 2)})
 
 
+def _adams_term(k: int, c: RationalFunc) -> RationalFunc:
+    """The Adams term c(t^k)/k; term(1, c) is c itself."""
+    return c.substitute_power(k) / k
+
+
 def plethystic_exp(s: GradedSeries) -> GradedSeries:
     """Plethystic exponential Exp(f) = exp(sum_k f(t^k, z^k)/k).
 
-    Needs constant term 0.  The substitution t -> t^k acts on numerator and
+    Needs constant term 0.  The z^d coefficient of the Adams sum is
+    sum over k | d of f_(d/k)(t^k)/k, so it is :func:`divisor_sum` with
+    :func:`_adams_term`.  The substitution t -> t^k acts on numerator and
     denominator of each coefficient separately, which is well defined since
     substitution never kills a nonzero polynomial.
     """
     if s.coeff(0):
         raise BadConstantTerm("plethystic_exp needs constant term 0")
     n = s.cutoff
-    acc = GradedSeries.zero(n)
-    for k in range(1, n + 1):
-        acc = acc + s.adams(k) / k
-    return series_exp(acc)
+    sums = divisor_sum([s.coeff(d) for d in range(1, n + 1)], _adams_term)
+    return series_exp(GradedSeries(n, dict(enumerate(sums, start=1))))
 
 
 def plethystic_log(s: GradedSeries) -> GradedSeries:
     """Plethystic logarithm, the exact inverse of :func:`plethystic_exp`.
 
-    Needs constant term 1.  Computed as sum_k (mu(k)/k) log(s)(t^k, z^k).
+    Needs constant term 1.  Computed as :func:`divisor_inversion` of log(s)
+    with :func:`_adams_term`, the triangular inverse of the Adams sum; since
+    the Adams operations compose (t -> t^j after t -> t^k is t -> t^jk),
+    this is the Moebius sum sum_k (mu(k)/k) log(s)(t^k, z^k).
     """
     if s.coeff(0) != RationalFunc.one():
         raise BadConstantTerm("plethystic_log needs constant term 1")
     n = s.cutoff
     inner = series_log(s)
-    acc = GradedSeries.zero(n)
-    for k in range(1, n + 1):
-        mu = moebius(k)
-        if mu:
-            acc = acc + inner.adams(k) * mu / k
-    return acc
+    values = divisor_inversion([inner.coeff(d) for d in range(1, n + 1)], _adams_term)
+    return GradedSeries(n, dict(enumerate(values, start=1)))

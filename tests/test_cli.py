@@ -284,3 +284,12 @@ def test_usage_error_exit_code(capsys):
 def test_removed_flags_are_usage_errors(capsys):
     assert main(["gw", "--r", "1", "--jobs", "2"]) == 2
     assert main(["verify", "--suite", "table", "--strict-truncation"]) == 2
+
+
+def test_csv_is_a_usage_error_where_no_csv_is_rendered(capsys):
+    # scatter and verify render human and json only; csv must not fall through
+    for argv in (["verify", "--suite", "table"], ["scatter", "--m", "3", "--order", "4"]):
+        code, out, err = run(capsys, *argv, "--out", "csv")
+        assert code == 2, argv
+        assert out == "", argv
+        assert "invalid choice" in err, argv

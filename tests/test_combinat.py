@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.algebra import GradedSeries, LaurentPoly, RationalFunc, series_exp
+from wallcross.algebra import (GradedSeries, LaurentPoly, RationalFunc, exp_coeffs, log_coeffs,
+                               series_exp)
 from wallcross.combinat import (
     binomial,
     divisor_inversion,
@@ -17,6 +18,8 @@ from wallcross.combinat import (
     quantum_integer,
 )
 from wallcross.errors import BadConstantTerm, NonPositive
+
+from test_algebra import _mul_truncated, random_palindromic
 
 
 def sieve_moebius(limit: int) -> list[int]:
@@ -35,6 +38,10 @@ def pascal_triangle(rows: int) -> list[list[int]]:
         prev = tri[-1]
         tri.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
     return tri
+
+
+def coeff_list(s: GradedSeries) -> list:
+    return [s.coeff(d) for d in range(s.cutoff + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +187,14 @@ def test_plethystic_exp_is_multiplicative():
     rng = random.Random(71)
     for _ in range(20):
         n = rng.randint(2, 7)
-        def rand_series():
-            return GradedSeries(n, {
-                d: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                for d in range(1, n + 1)
-            })
-        a, b = rand_series(), rand_series()
-        assert plethystic_exp(a + b) == plethystic_exp(a) * plethystic_exp(b)
+        def rand_coeffs():
+            return {d: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for d in range(1, n + 1)}
+        a, b = rand_coeffs(), rand_coeffs()
+        product = _mul_truncated(coeff_list(plethystic_exp(GradedSeries(n, a))),
+                                 coeff_list(plethystic_exp(GradedSeries(n, b))),
+                                 RationalFunc.zero())
+        assert plethystic_exp(GradedSeries(n, {d: a[d] + b[d] for d in a})) \
+            == GradedSeries(n, dict(enumerate(product)))
 
 
 def test_plethystic_constant_term_contract():
@@ -200,7 +208,48 @@ def test_plethystic_exp_vs_direct_expansion_with_coeff_substitution():
     # one nontrivial refined coefficient: Exp([2]_q z) carries t -> t^k inside
     s = GradedSeries(3, {1: quantum_integer(2)})
     got = plethystic_exp(s)
-    inner = GradedSeries.zero(3)
-    for k in (1, 2, 3):
-        inner = inner + GradedSeries(3, {k: quantum_integer(2).substitute_power(k)}) / k
+    inner = GradedSeries(3, {k: quantum_integer(2).substitute_power(k) / k for k in (1, 2, 3)})
     assert got == series_exp(inner)
+
+
+# The Adams-sum Exp and the Moebius-sum Log, accumulated degree by degree on
+# coefficient dicts: independent of divisor_sum and divisor_inversion.
+
+
+def adams_sum_oracle(c: dict, n: int, weight) -> list:
+    """sum_k weight(k) c(t^k, z^k), truncated beyond z^n, as a coefficient list."""
+    acc = [RationalFunc.zero()] * (n + 1)
+    for k in range(1, n + 1):
+        w = weight(k)
+        if w:
+            for d, v in c.items():
+                if d * k <= n:
+                    acc[d * k] = acc[d * k] + v.substitute_power(k) * w
+    return acc
+
+
+def plethystic_exp_oracle(c: dict, n: int) -> list:
+    adams = adams_sum_oracle(c, n, lambda k: Fraction(1, k))
+    return exp_coeffs(adams, RationalFunc.one())
+
+
+def plethystic_log_oracle(f: list) -> list:
+    n = len(f) - 1
+    inner = log_coeffs(f, RationalFunc.zero())
+    mu = sieve_moebius(n)
+    return adams_sum_oracle(dict(enumerate(inner[1:], start=1)), n,
+                            lambda k: Fraction(mu[k], k))
+
+
+def test_plethystic_pair_against_adams_and_moebius_sums():
+    rng = random.Random(97)
+    draws = [lambda: RationalFunc(Fraction(rng.randint(-4, 4), rng.randint(1, 4))),
+             lambda: RationalFunc(random_palindromic(rng))]
+    for draw in draws:
+        for n in range(1, 9):
+            c = {d: draw() for d in range(1, n + 1)}
+            assert coeff_list(plethystic_exp(GradedSeries(n, c))) == plethystic_exp_oracle(c, n)
+            # 1 + s is not an Exp output, so this checks Log on its own
+            f = [RationalFunc.one()] + [c[d] for d in range(1, n + 1)]
+            assert coeff_list(plethystic_log(GradedSeries(n, dict(enumerate(f))))) \
+                == plethystic_log_oracle(f)
