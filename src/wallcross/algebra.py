@@ -19,9 +19,9 @@ layers build on each other:
 
 Series logarithms and exponentials have a single core, :func:`log_coeffs`
 and :func:`exp_coeffs`: O(n^2) triangular recurrences on plain lists of
-``Fraction`` or ``RationalFunc`` coefficients.  ``series_log`` and
-``series_exp`` apply them to a ``GradedSeries``; the scattering and refined
-extractions apply them to wall and factor coefficients directly.
+int, ``Fraction`` or ``RationalFunc`` coefficients.  ``series_log`` and
+``series_exp`` apply them to a ``GradedSeries``, and through them the
+plethystic pair reads both engines' central rays.
 
 All values are immutable after construction and all operations are pure, so
 instances can be shared freely across threads.
@@ -670,8 +670,8 @@ def log_coeffs(f: Sequence, zero) -> list:
     """Coefficients of log f for a series f with f[0] = 1; index 0 holds ``zero``.
 
     Solves (log f)' f = f' triangularly: M_n = n L_n satisfies
-    M_n = n f_n - sum_{0<i<n} M_i f_{n-i}.  That is O(n^2) ring operations
-    on Fraction or RationalFunc coefficients.
+    M_n = n f_n - sum_{0<i<n} M_i f_{n-i}.  That is O(n^2) exact ring
+    operations on int, Fraction or RationalFunc coefficients.
     """
     m = [zero] * len(f)
     for n in range(1, len(f)):
@@ -680,14 +680,14 @@ def log_coeffs(f: Sequence, zero) -> list:
             if m[i] and f[n - i]:
                 acc = acc - m[i] * f[n - i]
         m[n] = acc
-    return [zero] + [m[n] / n for n in range(1, len(f))]
+    return [zero] + [m[n] * Fraction(1, n) for n in range(1, len(f))]
 
 
 def exp_coeffs(a: Sequence, one) -> list:
     """Coefficients of exp a for a series a with a[0] = 0; index 0 holds ``one``.
 
     Solves E' = a' E triangularly, n E_n = sum_{0<k<=n} k a_k E_{n-k}.  That
-    is O(n^2) ring operations on Fraction or RationalFunc coefficients.
+    is O(n^2) exact ring operations on int, Fraction or RationalFunc coefficients.
     """
     ka = [c * k for k, c in enumerate(a)]
     exp = [one]
@@ -696,7 +696,7 @@ def exp_coeffs(a: Sequence, one) -> list:
         for k in range(1, n + 1):
             if ka[k] and exp[n - k]:
                 acc = acc + ka[k] * exp[n - k]
-        exp.append(acc / n)
+        exp.append(acc * Fraction(1, n))
     return exp
 
 

@@ -283,6 +283,9 @@ def _suite_partition(d_max: int = 50) -> list[Check]:
 
 def _suite_scatter(ms: list[int], d_max: int = 3, order: int | None = None) -> list[Check]:
     # resolving (d, d) takes order 2d; without --order use the least that reaches d_max
+    cap = scattering.MAX_ORDER // 2
+    if d_max > cap:
+        raise WallcrossError(f"--d-max must be at most {cap} for --suite scatter, got {d_max}")
     if order is None:
         order = max(6, 2 * d_max)
     elif order < 2 * d_max:

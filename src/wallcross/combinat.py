@@ -4,12 +4,14 @@ The Moebius function, binomials, the sign (-1)^n, divisor sums and their
 inversion, quantum integers, and the plethystic Exp/Log pair acting on
 truncated graded series.  Every multi-cover-type sum runs through the one
 pair :func:`divisor_sum` / :func:`divisor_inversion` with its own term; the
-plethystic pair uses the Adams term f(t^k)/k.
+plethystic pair uses the Adams term f(t^k)/k.  Both engines read their DT
+invariants through :func:`central_plog` and order rays by :func:`slope`.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .algebra import GradedSeries, LaurentPoly, RationalFunc, series_exp, series_log
@@ -61,6 +63,12 @@ def divisors(n: int) -> list[int]:
 def minus_one_pow(n: int) -> int:
     """The sign (-1)^n for any integer n."""
     return -1 if n % 2 else 1
+
+
+def slope(direction: tuple[int, int]) -> Fraction:
+    """b / (a + b) for a first-quadrant direction (a, b): increasing with b / a."""
+    a, b = direction
+    return Fraction(b, a + b)
 
 
 def divisor_sum(values: Sequence, term: Callable) -> list:
@@ -138,3 +146,20 @@ def plethystic_log(s: GradedSeries) -> GradedSeries:
     inner = series_log(s)
     values = divisor_inversion([inner.coeff(d) for d in range(1, n + 1)], _adams_term)
     return GradedSeries(n, dict(enumerate(values, start=1)))
+
+
+def central_plog(m: int, coeffs: Sequence) -> list[RationalFunc]:
+    """PLog(1 + sum_k (-1)^(m k) c_k u^k) in degrees 1..n, for coeffs = [c_1, ..., c_n].
+
+    For the central function 1 + sum_k c_k u^k of the m-arrow Kronecker
+    quiver (u the monomial of (1, 1)) this is P_d = Omega_d / (t - t^-1) for
+    the refined and P_d = -d Omega_d for the numerical DT invariants.
+    """
+    # The sign (-1)^(m k) is frozen by two anchors: dimension (1,1) must give
+    # (-1)^(m-1) [m]_q, and the t = 1 limits must match the Moebius-sum DT
+    # values for m in {3, 4}, d <= 2.  Any other sign family either breaks
+    # an anchor or fails to clear denominators in the inversion.
+    n = len(coeffs)
+    twisted = {k: c * minus_one_pow(m * k) for k, c in enumerate(coeffs, start=1)}
+    plog = plethystic_log(GradedSeries(n, {0: 1, **twisted}))
+    return [plog.coeff(d) for d in range(1, n + 1)]

@@ -18,7 +18,7 @@ from functools import cache
 from math import factorial
 from typing import Mapping, Sequence
 
-from .algebra import LaurentPoly, RationalFunc
+from .algebra import LaurentPoly, RationalFunc, exp_coeffs, log_coeffs
 from .combinat import (binomial, divisor_inversion, divisor_sum, divisors, minus_one_pow, moebius,
                        quantum_integer)
 from .errors import DomainError, FixturesMissing, IndexGap
@@ -129,20 +129,13 @@ def loglocal_prefactor_series(d_beta: int, cutoff: int) -> LaurentPoly:
     if cutoff < -1:
         raise ValueError("cutoff must be at least -1")
     a = d_beta
-    # 2*sinh(a v / 2) = a*v*h(v) with h even; invert h as a power series.
+    # 2*sinh(a v / 2) = a*v*h(v) with h even; 1/h = exp(-log h) as a power series.
     length = cutoff + 3
     h = [Fraction(0)] * length
     for j in range(0, (length - 1) // 2 + 1):
         if 2 * j < length:
             h[2 * j] = Fraction(a ** (2 * j), 4**j * factorial(2 * j + 1))
-    hinv = [Fraction(0)] * length
-    hinv[0] = Fraction(1)
-    for n in range(1, length):
-        acc = Fraction(0)
-        for i in range(1, n + 1):
-            if h[i]:
-                acc += h[i] * hinv[n - i]
-        hinv[n] = -acc
+    hinv = exp_coeffs([-c for c in log_coeffs(h, Fraction(0))], Fraction(1))
     sign = minus_one_pow(a - 1)
     coeffs = {2 * j - 1: sign * hinv[2 * j] / a
               for j in range(0, length // 2 + 1)

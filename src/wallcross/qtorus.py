@@ -20,10 +20,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .algebra import LaurentPoly, RationalFunc, log_coeffs
-from .combinat import minus_one_pow, quantum_integer
+from .algebra import LaurentPoly, RationalFunc
+from .combinat import central_plog, minus_one_pow, quantum_integer, slope
 from .errors import BasisResidue, OrderOverflow, TruncationMismatch
-from .invariants import multicover_omega_from_bar
 
 MAX_FACTOR_ORDER = 16
 
@@ -205,13 +204,6 @@ def _factor_element(m: int, trunc: int, direction: tuple[int, int],
     return QTorusElement(m, trunc, terms)
 
 
-def _slope_key(direction: tuple[int, int]):
-    a, b = direction
-    if a == 0:
-        return (0, Fraction(0))  # vertical ray: largest slope, comes first
-    return (1, -Fraction(b, a))
-
-
 def ks_factorization(m: int, order: int) -> Factorization:
     """Factor E(x_(1,0)) E(x_(0,1)) into slope-decreasing per-ray factors.
 
@@ -231,7 +223,7 @@ def ks_factorization(m: int, order: int) -> Factorization:
     for deg in range(1, trunc + 1):
         # the degree-deg defect only needs the product up to degree deg
         acc = QTorusElement.one(m, deg)
-        for direction in sorted(factors, key=_slope_key):
+        for direction in sorted(factors, key=slope, reverse=True):
             acc = acc * _factor_element(m, deg, direction, factors[direction])
         defect = QTorusElement(m, deg, target.terms) - acc
         for (v, c) in sorted(defect.terms.items()):
@@ -251,7 +243,7 @@ def ks_factorization(m: int, order: int) -> Factorization:
 
     rays = tuple(
         (direction, tuple(sorted(factors[direction].items())))
-        for direction in sorted(factors, key=_slope_key)
+        for direction in sorted(factors, key=slope, reverse=True)
         if factors[direction]
     )
     return Factorization(pairing=m, order=order, product=target, rays=rays)
@@ -260,10 +252,9 @@ def ks_factorization(m: int, order: int) -> Factorization:
 def ks_factorize(m: int, order: int) -> list[RefinedDT]:
     """Refined DT invariants at diagonal dimension vectors (d, d), d <= order.
 
-    From the central factor 1 + sum F_k u^k (u = x_(1,1)) take logarithms,
-    form bar_d = (-1)^(m d) (t - t^(-1)) log_d, and invert the multi-cover
-    relation; the results are palindromic Laurent polynomials with integer
-    coefficients, and their t = 1 limits match the numerical DT invariants.
+    See :func:`refined_from_factorization`; the results are palindromic
+    Laurent polynomials with integer coefficients, and their t = 1 limits
+    match the numerical DT invariants.
     """
     dmax = MAX_FACTOR_ORDER // 2
     if order < 1 or order > dmax:
@@ -275,23 +266,21 @@ def ks_factorize(m: int, order: int) -> list[RefinedDT]:
 def refined_from_factorization(factorization: Factorization, dmax: int) -> list[RefinedDT]:
     """Extract diagonal refined DT invariants from a completed factorization.
 
-    Each record also holds the quotient by [d*m]_q and its GV list.
+    The central factor 1 + sum_k F_k u^k (u = x_(1,1)) goes through
+    :func:`~wallcross.combinat.central_plog`, and Omega_d = (t - t^(-1)) P_d
+    for its values P_d.  Each record also holds the quotient by [d*m]_q and
+    its GV list.
     """
     if 2 * dmax > factorization.order:
         raise OrderOverflow(
             f"factorization order {factorization.order} cannot resolve d = {dmax}")
     m = factorization.pairing
     central = factorization.diagonal_coeffs()
-    log = log_coeffs([_RF1] + [central.get(k, _RF0) for k in range(1, dmax + 1)], _RF0)
     tminus = RationalFunc(LaurentPoly({1: 1, -1: -1}))
-    # The sign (-1)^(m d) is frozen by two anchors: dimension (1,1) must give
-    # (-1)^(m-1) [m]_q, and the t = 1 limits must match the Moebius-sum DT
-    # values for m in {3, 4}, d <= 2.  Any other sign family either breaks
-    # an anchor or fails to clear denominators in the inversion.
-    bars = [tminus * log[d] * minus_one_pow(m * d) for d in range(1, dmax + 1)]
-    omegas = multicover_omega_from_bar(bars)
+    plogs = central_plog(m, [central.get(k, _RF0) for k in range(1, dmax + 1)])
     out = []
-    for d, omega in enumerate(omegas, start=1):
+    for d, p in enumerate(plogs, start=1):
+        omega = (tminus * p).as_laurent()
         if not omega.is_palindromic():
             raise AssertionError(
                 f"extracted invariant at ({d},{d}) is not palindromic: {omega}; "

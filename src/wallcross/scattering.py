@@ -26,9 +26,9 @@ tropical vertex"), the crossing multipliers (1 + u)^e have binomial
 coefficients, and each correction is an exact quotient of an integer defect;
 the completion raises if that division ever leaves a remainder, so the
 theorem is checked at run time.  The public types (`Ray`,
-`ScatteringDiagram`) keep `Fraction` and are built once, from the finished
-walls.  `complete_to_consistency(m, order)` always starts from the two lines
-1 + X and 1 + Y.  Step k of the completion truncates the loop product at
+`ScatteringDiagram`) hold the same int walls and are built once, from the
+finished walls.  `complete_to_consistency(m, order)` always starts from the
+two lines 1 + X and 1 + Y.  Step k of the completion truncates the loop product at
 degree k + 1, the least that determines the degree-k defect; one full-order
 product at the end checks the whole diagram.
 """
@@ -40,8 +40,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .algebra import log_coeffs
-from .combinat import binomial, divisor_inversion, minus_one_pow
+from .combinat import binomial, central_plog, slope
 from .errors import DomainError, InsufficientOrder, NonPrimitiveInput, OrderOverflow
 
 MAX_ORDER = 64
@@ -105,19 +104,19 @@ class Ray:
 
     direction: tuple[int, int]
     incoming: bool
-    wall_powers: tuple[tuple[int, Fraction], ...]
+    wall_powers: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         a, b = self.direction
         if gcd(abs(a), abs(b)) != 1:
             raise NonPrimitiveInput(f"ray direction {self.direction} is not primitive")
 
-    def wall_coeffs(self) -> dict[int, Fraction]:
+    def wall_coeffs(self) -> dict[int, int]:
         return dict(self.wall_powers)
 
     @staticmethod
-    def make(direction, incoming, coeffs: Mapping[int, Fraction]) -> Ray:
-        powers = tuple(sorted((int(j), Fraction(c)) for j, c in coeffs.items() if c))
+    def make(direction, incoming, coeffs: Mapping[int, int]) -> Ray:
+        powers = tuple(sorted((int(j), c) for j, c in coeffs.items() if c))
         return Ray(tuple(direction), incoming, powers)
 
 
@@ -153,13 +152,6 @@ class ScatteringDiagram:
         }
 
 
-def _ray_sort_key(direction: tuple[int, int]):
-    a, b = direction
-    if a == 0:
-        return (1, Fraction(0))
-    return (0, Fraction(b, a))
-
-
 def wall_crossing_automorphism(direction: tuple[int, int], wall: Mapping[int, int],
                                element: dict[tuple[int, int], int], trunc: int, m: int,
                                orientation: int = 1) -> dict[tuple[int, int], int]:
@@ -177,8 +169,7 @@ def wall_crossing_automorphism(direction: tuple[int, int], wall: Mapping[int, in
     u = [0] * (trunc // (da + db) + 1)
     for j, cj in wall.items():
         if j < len(u):
-            # integral Fraction walls (Ray.wall_coeffs() in consistency_defect) enter as ints
-            u[j] = cj.numerator if cj.denominator == 1 else cj
+            u[j] = cj
     upows = _series_powers(u)
     powers: dict[int, list] = {}
     out: dict[tuple[int, int], int] = {}
@@ -209,7 +200,7 @@ def _loop_multipliers(m: int, outgoing: dict[tuple[int, int], dict[int, int]],
     consistent to order trunc - 1.
     """
     crossings = [((1, 0), _INCOMING)]
-    crossings += [(d, outgoing[d]) for d in sorted(outgoing, key=_ray_sort_key) if outgoing[d]]
+    crossings += [(d, outgoing[d]) for d in sorted(outgoing, key=slope) if outgoing[d]]
     crossings += [((0, 1), _INCOMING), ((-1, 0), _INCOMING), ((0, -1), _INCOMING)]
     px = {(1, 0): 1}
     py = {(0, 1): 1}
@@ -267,7 +258,7 @@ def complete_to_consistency(m: int, order: int) -> ScatteringDiagram:
                 del wall[g]
 
     rays = [Ray.make((1, 0), True, _INCOMING)]
-    for direction in sorted(outgoing, key=_ray_sort_key):
+    for direction in sorted(outgoing, key=slope):
         coeffs = outgoing[direction]
         if coeffs:
             rays.append(Ray.make(direction, False, coeffs))
@@ -302,11 +293,10 @@ def consistency_defect(diagram: ScatteringDiagram) -> list[tuple[tuple[int, int]
 def central_ray_omega(diagram: ScatteringDiagram, d: int) -> Fraction:
     """Numerical DT invariant at diagonal dimension (d, d) from the central ray.
 
-    Writes log of the central wall function as sum_k c_k u^k (u the central
-    monomial), converts via the frozen dictionary
-    bar_k = (-1)^(m*k - 1) c_k / k, and Moebius-inverts the multi-cover
-    relation bar_k = sum_{l | k} Omega_{k/l} / l^2.  The dictionary is pinned
-    by the m = 3 Kronecker values at d = 1, 2 and then applied everywhere.
+    Reads the central wall function f = 1 + sum_k c_k u^k (u the central
+    monomial) through :func:`~wallcross.combinat.central_plog`; its values
+    P_k are constants here, and Omega_d = -P_d / d.  Equivalently
+    f((-1)^m u) = prod_k (1 - u^k)^(k Omega_k).
     """
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d}")
@@ -316,11 +306,8 @@ def central_ray_omega(diagram: ScatteringDiagram, d: int) -> Fraction:
             f"complete to order >= {2 * d}")
     central = diagram.central_ray()
     wall = central.wall_coeffs() if central is not None else {}
-    log = log_coeffs([Fraction(1)] + [wall.get(j, Fraction(0)) for j in range(1, d + 1)],
-                     Fraction(0))
-    m = diagram.pairing
-    bars = [minus_one_pow(m * k - 1) * log[k] / k for k in range(1, d + 1)]
-    return divisor_inversion(bars, lambda l, omega: omega / (l * l))[d - 1]
+    plog = central_plog(diagram.pairing, [wall.get(j, 0) for j in range(1, d + 1)])
+    return -plog[d - 1].at_one() / d
 
 
 def central_log_closed_form(m: int, d: int) -> Fraction:

@@ -446,6 +446,13 @@ def test_log_exp_coeffs_against_power_sum_oracles():
             assert log_coeffs(exp_coeffs(a, one), zero) == a
 
 
+def test_log_exp_coeffs_of_ints_are_exact_fractions():
+    assert log_coeffs([1, 3, 0, 0], 0) == [0, 3, Fraction(-9, 2), 9]
+    assert exp_coeffs([0, 1, 1], 1) == [1, 1, Fraction(3, 2)]
+    for coeffs in (log_coeffs([1, 3, 0, 0], 0)[1:], exp_coeffs([0, 1, 1], 1)[1:]):
+        assert all(type(c) is Fraction for c in coeffs)
+
+
 def test_series_bad_constant_term():
     with pytest.raises(BadConstantTerm):
         series_exp(GradedSeries.one(3))

@@ -231,6 +231,13 @@ def test_verify_scatter_checks_every_degree_up_to_d_max(capsys):
         assert f"PASS scatter/central m={m} d=5:" in out
 
 
+def test_verify_scatter_d_max_above_its_cap_is_config_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "scatter", "--d-max", "40")
+    assert code == 2
+    assert out == ""
+    assert "--d-max" in err and "40" in err
+
+
 def test_verify_order_below_twice_d_max_is_config_error(capsys):
     code, out, err = run(capsys, "verify", "--suite", "scatter", "--d-max", "5", "--order", "8")
     assert code == 2

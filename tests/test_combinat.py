@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallcross.algebra import (GradedSeries, LaurentPoly, RationalFunc, exp_coeffs, log_coeffs,
                                series_exp)
@@ -18,6 +20,8 @@ from wallcross.combinat import (
     quantum_integer,
 )
 from wallcross.errors import BadConstantTerm, NonPositive
+from wallcross.qtorus import Factorization, QTorusElement, refined_from_factorization
+from wallcross.scattering import Ray, ScatteringDiagram, central_ray_omega
 
 from test_algebra import _mul_truncated, random_palindromic
 
@@ -253,3 +257,43 @@ def test_plethystic_pair_against_adams_and_moebius_sums():
             f = [RationalFunc.one()] + [c[d] for d in range(1, n + 1)]
             assert coeff_list(plethystic_log(GradedSeries(n, dict(enumerate(f))))) \
                 == plethystic_log_oracle(f)
+
+
+# ---------------------------------------------------------------------------
+# central_plog: both engines' extraction inverts a plethystic Exp
+
+
+def central_function(m: int, plog: list) -> list:
+    """[c_1, ..., c_n] with 1 + sum_k c_k ((-1)^m u)^k = Exp(sum_d plog[d-1] u^d)."""
+    n = len(plog)
+    exp = plethystic_exp(GradedSeries(n, dict(enumerate(plog, start=1))))
+    return [exp.coeff(k) * minus_one_pow(m * k) for k in range(1, n + 1)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 5), st.lists(st.integers(-60, 60), min_size=1, max_size=4))
+def test_central_ray_omega_round_trip(m, omegas):
+    # numerical normalisation: P_d = -d Omega_d
+    walls = {}
+    for k, c in enumerate(central_function(m, [-d * om for d, om in enumerate(omegas, 1)]), 1):
+        assert c.is_laurent and c.at_one().denominator == 1
+        walls[k] = int(c.at_one())
+    n = len(omegas)
+    diagram = ScatteringDiagram(m, 2 * n, (Ray.make((1, 1), False, walls),))
+    assert [central_ray_omega(diagram, d) for d in range(1, n + 1)] == omegas
+
+
+palindromic_omegas = st.dictionaries(st.integers(0, 3), st.integers(-4, 4)).map(
+    lambda half: LaurentPoly({**half, **{-k: v for k, v in half.items()}}))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(1, 5), st.lists(palindromic_omegas, min_size=1, max_size=4))
+def test_refined_from_factorization_round_trip(m, omegas):
+    # refined normalisation: P_d = Omega_d / (t - t^-1)
+    tminus = LaurentPoly({1: 1, -1: -1})
+    coeffs = central_function(m, [RationalFunc(om, tminus) for om in omegas])
+    n = len(omegas)
+    rays = (((1, 1), tuple(enumerate(coeffs, start=1))),)
+    factorization = Factorization(m, 2 * n, QTorusElement.one(m, 2 * n), rays)
+    assert [rec.omega for rec in refined_from_factorization(factorization, n)] == omegas

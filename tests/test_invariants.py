@@ -145,6 +145,28 @@ def test_prefactor_series_odd_parity():
         assert all(k % 2 == 1 for k in series.support())
 
 
+def reciprocal_oracle(h: list) -> list:
+    """1/h for h[0] = 1 by the triangular recurrence sum_{i<=n} h_i r_(n-i) = 0."""
+    r = [Fraction(1)] + [Fraction(0)] * (len(h) - 1)
+    for n in range(1, len(h)):
+        r[n] = -sum((h[i] * r[n - i] for i in range(1, n + 1)), Fraction(0))
+    return r
+
+
+def test_prefactor_series_against_reciprocal_oracle():
+    from math import factorial
+
+    for a in (1, 2, 3, 5):
+        for cutoff in range(-1, 16):
+            length = cutoff + 3
+            h = [Fraction(a**j, 2**j * factorial(j + 1)) if j % 2 == 0 else Fraction(0)
+                 for j in range(length)]
+            hinv = reciprocal_oracle(h)
+            sign = 1 if a % 2 else -1
+            expected = {j - 1: sign * hinv[j] / a for j in range(0, cutoff + 2, 2) if hinv[j]}
+            assert dict(loglocal_prefactor_series(a, cutoff).items()) == expected
+
+
 def test_prefactor_series_inverts_sinh():
     # multiplying back by 2*sinh(a v / 2) must give (-1)^(a - 1), exactly,
     # through the truncation order

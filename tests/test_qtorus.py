@@ -10,6 +10,7 @@ from wallcross.combinat import quantum_integer
 from wallcross.errors import BasisResidue, OrderOverflow, TruncationMismatch
 from wallcross.invariants import dt_kronecker_numeric
 from wallcross.qtorus import (
+    Factorization,
     QTorusElement,
     dilog_coefficient,
     divisibility_check,
@@ -17,6 +18,7 @@ from wallcross.qtorus import (
     ks_factorization,
     ks_factorize,
     quantum_dilog,
+    refined_from_factorization,
 )
 
 
@@ -153,6 +155,18 @@ def test_refined_palindromic_integer_coefficients():
         for rec in ks_factorize(m, 2):
             assert rec.omega.is_palindromic()
             assert all(c.denominator == 1 for _, c in rec.omega.items())
+
+
+def test_refined_extraction_rejects_bad_central_factors():
+    # at m = 1, Omega_1 = -(t - 1/t) F_1: not Laurent, not palindromic, not integral
+    tminus = LaurentPoly({1: 1, -1: -1})
+    for f1, error, match in (
+            (RationalFunc(1, LaurentPoly({2: 1, 0: 1})), ValueError, "not a Laurent"),
+            (RationalFunc(LaurentPoly.t_power(1), tminus), AssertionError, "not palindromic"),
+            (RationalFunc(Fraction(1, 2), tminus), AssertionError, "non-integer")):
+        bad = Factorization(1, 2, QTorusElement.one(1, 2), (((1, 1), ((1, f1),)),))
+        with pytest.raises(error, match=match):
+            refined_from_factorization(bad, 1)
 
 
 def test_refined_known_polynomials():

