@@ -13,15 +13,14 @@ layers build on each other:
   by a primitive pseudo-remainder sequence, so only the results are built
   as ``Fraction``.
 * ``GradedSeries`` -- formal series in a grading variable ``z`` truncated at
-  a degree cutoff, with ``RationalFunc`` coefficients: the typed container
-  that ``series_exp``, ``series_log`` and the plethystic calculus take and
-  return.  It has no arithmetic of its own.
+  a degree cutoff, with coefficients in any of the three rings above, kept
+  as given: the typed container that ``series_exp``, ``series_log`` and the
+  plethystic calculus take and return.  It has no arithmetic of its own.
 
 Series logarithms and exponentials have a single core, :func:`log_coeffs`
-and :func:`exp_coeffs`: O(n^2) triangular recurrences on plain lists of
-int, ``Fraction`` or ``RationalFunc`` coefficients.  ``series_log`` and
-``series_exp`` apply them to a ``GradedSeries``, and through them the
-plethystic pair reads both engines' central rays.
+and :func:`exp_coeffs`: O(n^2) triangular recurrences on plain lists that
+run in the ring of their coefficients (int or ``Fraction``, ``LaurentPoly``,
+``RationalFunc``), so integer or Laurent input never builds a quotient.
 
 All values are immutable after construction and all operations are pure, so
 instances can be shared freely across threads.
@@ -601,10 +600,11 @@ def _rf_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laurent
 class GradedSeries:
     """Formal series in z, truncated beyond degree ``cutoff``.
 
-    A typed, validated container: coefficients are RationalFunc values keyed
-    by integer degree 0..cutoff, with zero coefficients never kept.  The
-    arithmetic lives elsewhere, in :func:`series_exp`, :func:`series_log`
-    and the plethystic pair of ``combinat``, which work on coefficient lists.
+    A typed, validated container of int, Fraction, LaurentPoly or
+    RationalFunc coefficients, kept as given and keyed by integer degree
+    0..cutoff; zeros are never kept.  The arithmetic lives elsewhere, in
+    :func:`series_exp`, :func:`series_log` and the plethystic pair of
+    ``combinat``, which work on coefficient lists.
     """
 
     __slots__ = ("_cutoff", "_coeffs")
@@ -613,18 +613,17 @@ class GradedSeries:
         if not isinstance(cutoff, int) or cutoff < 0:
             raise ValueError("cutoff must be a non-negative integer")
         self._cutoff = cutoff
-        c: dict[int, RationalFunc] = {}
+        c: dict[int, object] = {}
         if coeffs:
             for d, v in coeffs.items():
                 if not isinstance(d, int):
                     raise TypeError(f"degree must be an int, got {type(d).__name__}")
                 if d < 0 or d > cutoff:
                     raise ValueError(f"degree {d} outside 0..{cutoff}")
-                rf = _as_rf(v)
-                if rf is NotImplemented:
+                if not isinstance(v, (int, Fraction, LaurentPoly, RationalFunc)):
                     raise TypeError(f"bad coefficient type {type(v).__name__}")
-                if rf:
-                    c[d] = rf
+                if v:
+                    c[d] = v
         self._coeffs = c
 
     @classmethod
@@ -639,8 +638,8 @@ class GradedSeries:
     def cutoff(self) -> int:
         return self._cutoff
 
-    def coeff(self, d: int) -> RationalFunc:
-        return self._coeffs.get(d, RationalFunc.zero())
+    def coeff(self, d: int):
+        return self._coeffs.get(d, _F0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSeries):
@@ -666,33 +665,33 @@ class GradedSeries:
         return f"GradedSeries({self._cutoff}, {{{', '.join(f'{d}: {v!r}' for d, v in sorted(self._coeffs.items()))}}})"
 
 
-def log_coeffs(f: Sequence, zero) -> list:
-    """Coefficients of log f for a series f with f[0] = 1; index 0 holds ``zero``.
+def log_coeffs(f: Sequence) -> list:
+    """Coefficients of log f for a series f with f[0] = 1; index 0 holds Fraction(0).
 
     Solves (log f)' f = f' triangularly: M_n = n L_n satisfies
     M_n = n f_n - sum_{0<i<n} M_i f_{n-i}.  That is O(n^2) exact ring
-    operations on int, Fraction or RationalFunc coefficients.
+    operations in the ring of f, except that int input gives Fractions.
     """
-    m = [zero] * len(f)
+    m = [_F0] * len(f)
     for n in range(1, len(f)):
         acc = f[n] * n
         for i in range(1, n):
             if m[i] and f[n - i]:
                 acc = acc - m[i] * f[n - i]
         m[n] = acc
-    return [zero] + [m[n] * Fraction(1, n) for n in range(1, len(f))]
+    return [_F0] + [m[n] * Fraction(1, n) for n in range(1, len(f))]
 
 
-def exp_coeffs(a: Sequence, one) -> list:
-    """Coefficients of exp a for a series a with a[0] = 0; index 0 holds ``one``.
+def exp_coeffs(a: Sequence) -> list:
+    """Coefficients of exp a for a series a with a[0] = 0; index 0 holds Fraction(1).
 
     Solves E' = a' E triangularly, n E_n = sum_{0<k<=n} k a_k E_{n-k}.  That
-    is O(n^2) exact ring operations on int, Fraction or RationalFunc coefficients.
+    is O(n^2) exact ring operations in the ring of a, as for :func:`log_coeffs`.
     """
     ka = [c * k for k, c in enumerate(a)]
-    exp = [one]
+    exp = [Fraction(1)]
     for n in range(1, len(a)):
-        acc = one - one
+        acc = _F0
         for k in range(1, n + 1):
             if ka[k] and exp[n - k]:
                 acc = acc + ka[k] * exp[n - k]
@@ -704,13 +703,13 @@ def series_exp(s: GradedSeries) -> GradedSeries:
     """exp of a series with zero constant term, exact modulo z^(cutoff+1)."""
     if s.coeff(0):
         raise BadConstantTerm("series_exp needs constant term 0")
-    coeffs = exp_coeffs([s.coeff(d) for d in range(s.cutoff + 1)], RationalFunc.one())
+    coeffs = exp_coeffs([s.coeff(d) for d in range(s.cutoff + 1)])
     return GradedSeries(s.cutoff, dict(enumerate(coeffs)))
 
 
 def series_log(s: GradedSeries) -> GradedSeries:
     """log of a series with constant term 1, exact modulo z^(cutoff+1)."""
-    if s.coeff(0) != RationalFunc.one():
+    if s.coeff(0) != 1:
         raise BadConstantTerm("series_log needs constant term 1")
-    coeffs = log_coeffs([s.coeff(d) for d in range(s.cutoff + 1)], RationalFunc.zero())
+    coeffs = log_coeffs([s.coeff(d) for d in range(s.cutoff + 1)])
     return GradedSeries(s.cutoff, dict(enumerate(coeffs)))

@@ -10,7 +10,9 @@ Each ``verify`` suite reads a fixed set of flags, and giving it any other
 is a configuration error: ``table`` reads ``--fixtures``; ``chain`` and
 ``partition`` read ``--d-max``; ``scatter`` reads ``--m``, ``--d-max`` and
 ``--order``; ``refined`` reads ``--m`` and ``--d-max``; ``all`` reads
-``--m``, ``--order`` and ``--fixtures``.
+``--m``, ``--order`` and ``--fixtures``.  ``--d-max`` is capped per suite:
+800 for ``chain``, 200 for ``partition``, 32 for ``scatter`` and 8 for
+``refined``; a larger value is a configuration error.
 
 Output is deterministic for a fixed configuration: rationals are rendered
 as ``p/q``, Laurent polynomials as sorted exponent maps (JSON) or in
@@ -43,6 +45,12 @@ SUITES = {
     "refined": ("--m", "--d-max"),
     "all": ("--m", "--order", "--fixtures"),
 }
+
+# the largest --d-max each suite that reads it takes: scatter and refined are
+# bounded by their engines' order caps, chain and partition by run time
+# (each takes about 1 s at its cap)
+D_MAX_CAPS = {"chain": 800, "partition": 200, "scatter": scattering.MAX_ORDER // 2,
+              "refined": qtorus.MAX_FACTOR_ORDER // 2}
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +291,6 @@ def _suite_partition(d_max: int = 50) -> list[Check]:
 
 def _suite_scatter(ms: list[int], d_max: int = 3, order: int | None = None) -> list[Check]:
     # resolving (d, d) takes order 2d; without --order use the least that reaches d_max
-    cap = scattering.MAX_ORDER // 2
-    if d_max > cap:
-        raise WallcrossError(f"--d-max must be at most {cap} for --suite scatter, got {d_max}")
     if order is None:
         order = max(6, 2 * d_max)
     elif order < 2 * d_max:
@@ -373,6 +378,9 @@ def cmd_verify(args) -> int:
         raise WallcrossError(
             f"--m must be >= 3 for --suite {suite}, got {args.m}; "
             "m = 1, 2 are covered by the fixed pentagon and Poincare anchors")
+    if args.d_max is not None and args.d_max > D_MAX_CAPS[suite]:
+        raise WallcrossError(
+            f"--d-max must be at most {D_MAX_CAPS[suite]} for --suite {suite}, got {args.d_max}")
     ms = [args.m] if args.m is not None else [3, 4]
     # a flag the user left out keeps the suite's own default
     d_max = {} if args.d_max is None else {"d_max": args.d_max}
@@ -462,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf = sub.add_parser("verify", help="run cross-check suites; exit 1 on any failure")
     p_vf.add_argument("--suite", choices=SUITES, default="all")
     p_vf.add_argument("--d-max", type=int, dest="d_max",
-                      help="override the degree range of chain, partition, scatter or refined")
+                      help="override the degree range of chain, partition, scatter or "
+                      "refined; at most 800, 200, 32 and 8 respectively")
     p_vf.add_argument("--m", type=int, help="restrict the scatter/refined checks to one m >= 3")
     p_vf.add_argument("--order", type=int,
                       help="scattering order, at least 2*d-max (default max(6, 2*d-max))")

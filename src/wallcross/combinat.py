@@ -4,8 +4,9 @@ The Moebius function, binomials, the sign (-1)^n, divisor sums and their
 inversion, quantum integers, and the plethystic Exp/Log pair acting on
 truncated graded series.  Every multi-cover-type sum runs through the one
 pair :func:`divisor_sum` / :func:`divisor_inversion` with its own term; the
-plethystic pair uses the Adams term f(t^k)/k.  Both engines read their DT
-invariants through :func:`central_plog` and order rays by :func:`slope`.
+plethystic pair runs in the ring of its input, with the Adams term f(t^k)/k.
+Both engines read their DT invariants through :func:`central_plog` and
+order rays by :func:`slope`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .algebra import GradedSeries, LaurentPoly, RationalFunc, series_exp, series_log
+from .algebra import GradedSeries, LaurentPoly, exp_coeffs, log_coeffs
 from .errors import BadConstantTerm, NonPositive
 
 
@@ -111,9 +112,14 @@ def quantum_integer(m: int) -> LaurentPoly:
     return LaurentPoly({k: 1 for k in range(-(m - 1), m, 2)})
 
 
-def _adams_term(k: int, c: RationalFunc) -> RationalFunc:
-    """The Adams term c(t^k)/k; term(1, c) is c itself."""
-    return c.substitute_power(k) / k
+def _adams_term(k: int, c):
+    """The Adams term c(t^k)/k; term(1, c) is c itself and a scalar has no t."""
+    return (c if isinstance(c, (int, Fraction)) else c.substitute_power(k)) * Fraction(1, k)
+
+
+def _plog(f: Sequence) -> list:
+    """Plethystic log of the list 1 + f_1 z + ... in degrees 1..n (f[0] is not read)."""
+    return divisor_inversion(log_coeffs(f)[1:], _adams_term)
 
 
 def plethystic_exp(s: GradedSeries) -> GradedSeries:
@@ -127,9 +133,8 @@ def plethystic_exp(s: GradedSeries) -> GradedSeries:
     """
     if s.coeff(0):
         raise BadConstantTerm("plethystic_exp needs constant term 0")
-    n = s.cutoff
-    sums = divisor_sum([s.coeff(d) for d in range(1, n + 1)], _adams_term)
-    return series_exp(GradedSeries(n, dict(enumerate(sums, start=1))))
+    sums = divisor_sum([s.coeff(d) for d in range(1, s.cutoff + 1)], _adams_term)
+    return GradedSeries(s.cutoff, dict(enumerate(exp_coeffs([0] + sums))))
 
 
 def plethystic_log(s: GradedSeries) -> GradedSeries:
@@ -140,15 +145,13 @@ def plethystic_log(s: GradedSeries) -> GradedSeries:
     the Adams operations compose (t -> t^j after t -> t^k is t -> t^jk),
     this is the Moebius sum sum_k (mu(k)/k) log(s)(t^k, z^k).
     """
-    if s.coeff(0) != RationalFunc.one():
+    if s.coeff(0) != 1:
         raise BadConstantTerm("plethystic_log needs constant term 1")
-    n = s.cutoff
-    inner = series_log(s)
-    values = divisor_inversion([inner.coeff(d) for d in range(1, n + 1)], _adams_term)
-    return GradedSeries(n, dict(enumerate(values, start=1)))
+    plog = _plog([s.coeff(d) for d in range(s.cutoff + 1)])
+    return GradedSeries(s.cutoff, dict(enumerate(plog, start=1)))
 
 
-def central_plog(m: int, coeffs: Sequence) -> list[RationalFunc]:
+def central_plog(m: int, coeffs: Sequence) -> list:
     """PLog(1 + sum_k (-1)^(m k) c_k u^k) in degrees 1..n, for coeffs = [c_1, ..., c_n].
 
     For the central function 1 + sum_k c_k u^k of the m-arrow Kronecker
@@ -159,7 +162,4 @@ def central_plog(m: int, coeffs: Sequence) -> list[RationalFunc]:
     # (-1)^(m-1) [m]_q, and the t = 1 limits must match the Moebius-sum DT
     # values for m in {3, 4}, d <= 2.  Any other sign family either breaks
     # an anchor or fails to clear denominators in the inversion.
-    n = len(coeffs)
-    twisted = {k: c * minus_one_pow(m * k) for k, c in enumerate(coeffs, start=1)}
-    plog = plethystic_log(GradedSeries(n, {0: 1, **twisted}))
-    return [plog.coeff(d) for d in range(1, n + 1)]
+    return _plog([1] + [c * minus_one_pow(m * k) for k, c in enumerate(coeffs, start=1)])

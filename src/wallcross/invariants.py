@@ -135,7 +135,7 @@ def loglocal_prefactor_series(d_beta: int, cutoff: int) -> LaurentPoly:
     for j in range(0, (length - 1) // 2 + 1):
         if 2 * j < length:
             h[2 * j] = Fraction(a ** (2 * j), 4**j * factorial(2 * j + 1))
-    hinv = exp_coeffs([-c for c in log_coeffs(h, Fraction(0))], Fraction(1))
+    hinv = exp_coeffs([-c for c in log_coeffs(h)])
     sign = minus_one_pow(a - 1)
     coeffs = {2 * j - 1: sign * hinv[2 * j] / a
               for j in range(0, length // 2 + 1)

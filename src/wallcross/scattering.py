@@ -294,9 +294,9 @@ def central_ray_omega(diagram: ScatteringDiagram, d: int) -> Fraction:
     """Numerical DT invariant at diagonal dimension (d, d) from the central ray.
 
     Reads the central wall function f = 1 + sum_k c_k u^k (u the central
-    monomial) through :func:`~wallcross.combinat.central_plog`; its values
-    P_k are constants here, and Omega_d = -P_d / d.  Equivalently
-    f((-1)^m u) = prod_k (1 - u^k)^(k Omega_k).
+    monomial) through :func:`~wallcross.combinat.central_plog`.  On the int
+    walls its values P_k are Fractions, so Omega_d = -P_d / d is a Fraction
+    and no RationalFunc is built.  Equivalently f((-1)^m u) = prod_k (1 - u^k)^(k Omega_k).
     """
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d}")
@@ -307,7 +307,7 @@ def central_ray_omega(diagram: ScatteringDiagram, d: int) -> Fraction:
     central = diagram.central_ray()
     wall = central.wall_coeffs() if central is not None else {}
     plog = central_plog(diagram.pairing, [wall.get(j, 0) for j in range(1, d + 1)])
-    return -plog[d - 1].at_one() / d
+    return -plog[d - 1] / d
 
 
 def central_log_closed_form(m: int, d: int) -> Fraction:

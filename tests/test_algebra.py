@@ -440,16 +440,16 @@ def test_log_exp_coeffs_against_power_sum_oracles():
     for one, zero, draw in rings:
         for n in range(1, 9):
             a = [zero] + [draw() for _ in range(n)]
-            assert exp_coeffs(a, one) == exp_power_sum_oracle(a, one, zero)
+            assert exp_coeffs(a) == exp_power_sum_oracle(a, one, zero)
             f = [one] + a[1:]
-            assert log_coeffs(f, zero) == log_power_sum_oracle(f, one, zero)
-            assert log_coeffs(exp_coeffs(a, one), zero) == a
+            assert log_coeffs(f) == log_power_sum_oracle(f, one, zero)
+            assert log_coeffs(exp_coeffs(a)) == a
 
 
 def test_log_exp_coeffs_of_ints_are_exact_fractions():
-    assert log_coeffs([1, 3, 0, 0], 0) == [0, 3, Fraction(-9, 2), 9]
-    assert exp_coeffs([0, 1, 1], 1) == [1, 1, Fraction(3, 2)]
-    for coeffs in (log_coeffs([1, 3, 0, 0], 0)[1:], exp_coeffs([0, 1, 1], 1)[1:]):
+    assert log_coeffs([1, 3, 0, 0]) == [0, 3, Fraction(-9, 2), 9]
+    assert exp_coeffs([0, 1, 1]) == [1, 1, Fraction(3, 2)]
+    for coeffs in (log_coeffs([1, 3, 0, 0])[1:], exp_coeffs([0, 1, 1])[1:]):
         assert all(type(c) is Fraction for c in coeffs)
 
 

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from wallcross.cli import laurent_human, main
 from wallcross.combinat import quantum_integer
 
@@ -236,6 +238,21 @@ def test_verify_scatter_d_max_above_its_cap_is_config_error(capsys):
     assert code == 2
     assert out == ""
     assert "--d-max" in err and "40" in err
+
+
+@pytest.mark.parametrize("suite, cap", [("partition", 200), ("chain", 800)])
+def test_verify_d_max_one_above_the_suite_cap_is_config_error(capsys, suite, cap):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--d-max", str(cap + 1))
+    assert code == 2
+    assert out == ""
+    assert f"--d-max must be at most {cap} for --suite {suite}, got {cap + 1}" in err
+
+
+def test_verify_refined_d_max_above_the_factor_cap_names_the_flag(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "refined", "--d-max", "9")
+    assert code == 2
+    assert out == ""
+    assert "--d-max must be at most 8 for --suite refined, got 9" in err
 
 
 def test_verify_order_below_twice_d_max_is_config_error(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallcross.algebra import (GradedSeries, LaurentPoly, RationalFunc, exp_coeffs, log_coeffs,
-                               series_exp)
+                               series_exp, series_log)
 from wallcross.combinat import (
     binomial,
     divisor_inversion,
@@ -234,12 +234,12 @@ def adams_sum_oracle(c: dict, n: int, weight) -> list:
 
 def plethystic_exp_oracle(c: dict, n: int) -> list:
     adams = adams_sum_oracle(c, n, lambda k: Fraction(1, k))
-    return exp_coeffs(adams, RationalFunc.one())
+    return exp_coeffs(adams)
 
 
 def plethystic_log_oracle(f: list) -> list:
     n = len(f) - 1
-    inner = log_coeffs(f, RationalFunc.zero())
+    inner = log_coeffs(f)
     mu = sieve_moebius(n)
     return adams_sum_oracle(dict(enumerate(inner[1:], start=1)), n,
                             lambda k: Fraction(mu[k], k))
@@ -276,8 +276,8 @@ def test_central_ray_omega_round_trip(m, omegas):
     # numerical normalisation: P_d = -d Omega_d
     walls = {}
     for k, c in enumerate(central_function(m, [-d * om for d, om in enumerate(omegas, 1)]), 1):
-        assert c.is_laurent and c.at_one().denominator == 1
-        walls[k] = int(c.at_one())
+        assert c.denominator == 1
+        walls[k] = int(c)
     n = len(omegas)
     diagram = ScatteringDiagram(m, 2 * n, (Ray.make((1, 1), False, walls),))
     assert [central_ray_omega(diagram, d) for d in range(1, n + 1)] == omegas
@@ -297,3 +297,24 @@ def test_refined_from_factorization_round_trip(m, omegas):
     rays = (((1, 1), tuple(enumerate(coeffs, start=1))),)
     factorization = Factorization(m, 2 * n, QTorusElement.one(m, 2 * n), rays)
     assert [rec.omega for rec in refined_from_factorization(factorization, n)] == omegas
+
+
+# ---------------------------------------------------------------------------
+# The series layer runs in the ring of its input
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.one_of(st.lists(st.fractions(-4, 4, max_denominator=4), min_size=1, max_size=5),
+                 st.lists(palindromic_omegas, min_size=1, max_size=5)))
+def test_series_operations_agree_with_their_rational_function_images(coeffs):
+    n = len(coeffs)
+    for constant, ops in ((0, (series_exp, plethystic_exp)), (1, (series_log, plethystic_log))):
+        s = GradedSeries(n, {0: constant, **dict(enumerate(coeffs, start=1))})
+        wrapped = GradedSeries(n, {d: RationalFunc(s.coeff(d)) for d in range(n + 1)})
+        for op in ops:
+            got, want = op(s), op(wrapped)
+            assert got == want and hash(got) == hash(want), op.__name__
+            out = coeff_list(got)
+            assert not any(isinstance(c, RationalFunc) for c in out), op.__name__
+            if all(isinstance(c, Fraction) for c in coeffs):
+                assert all(type(c) is Fraction for c in out), op.__name__

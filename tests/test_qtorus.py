@@ -90,8 +90,7 @@ def test_dilog_log_is_multicover_kernel():
     # (t - 1/t) * [z^n] log E(z) specialises at t = 1 to 1/n^2, the n-fold
     # cover weight of a single wall; checked through n = 4
     coeffs = {n: dilog_coefficient(n) for n in range(1, 5)}
-    log = log_coeffs([RationalFunc.one()] + [coeffs[n] for n in range(1, 5)],
-                     RationalFunc.zero())
+    log = log_coeffs([RationalFunc.one()] + [coeffs[n] for n in range(1, 5)])
     tminus = RationalFunc(LaurentPoly({1: 1, -1: -1}))
     for n in range(1, 5):
         expected = RationalFunc(LaurentPoly({1: 1, -1: -1}),

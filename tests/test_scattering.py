@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from wallcross.algebra import log_coeffs
+from wallcross.algebra import GradedSeries, RationalFunc, log_coeffs, series_exp, series_log
 from wallcross.cli import main
+from wallcross.combinat import plethystic_exp, plethystic_log
 from wallcross.errors import (
     DomainError,
     InsufficientOrder,
@@ -159,10 +160,25 @@ def test_central_log_matches_closed_form():
     for m in (3, 4):
         diagram = completed(m, 6)
         wall = diagram.central_ray().wall_coeffs()
-        log = log_coeffs([Fraction(1)] + [wall.get(j, Fraction(0)) for j in range(1, 4)],
-                         Fraction(0))
+        log = log_coeffs([Fraction(1)] + [wall.get(j, Fraction(0)) for j in range(1, 4)])
         for d in (1, 2, 3):
             assert log[d] == central_log_closed_form(m, d)
+
+
+def test_central_extraction_builds_no_rational_function(monkeypatch):
+    # the classical engine's walls are ints, so its whole read-out stays in Fractions
+    diagram = completed(3, 12)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a RationalFunc was built")
+
+    monkeypatch.setattr(RationalFunc, "__init__", refuse)
+    for d in range(1, 7):
+        omega = central_ray_omega(diagram, d)
+        assert type(omega) is Fraction and omega == dt_kronecker_numeric(3, d)
+    s = GradedSeries(5, {d: Fraction(d - 3, d) for d in range(1, 6)})
+    assert series_log(series_exp(s)) == s
+    assert plethystic_log(plethystic_exp(s)) == s
 
 
 def test_extraction_preconditions():
